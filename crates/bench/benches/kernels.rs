@@ -14,11 +14,16 @@
 //!   [`kernels::dot_indexed`] with the column-major weight gather and the
 //!   output buffer hoisted out of the timing loop, so its ratio is as
 //!   honest as the decoded loop's);
-//! * **lut** — the pair-LUT kernel ([`lut::matmul_lut`]): both operands
-//!   stay as codes, every product is one 32×32 table gather;
-//! * **counter_array** — the counter-array kernel
-//!   ([`lut::matmul_lut_counter`]): per-weight-code partial sums over row
-//!   panels of A, deferring every multiply to one per-code reduction.
+//! * **matmul_lut_bias** — the pair-LUT row kernel the index-domain
+//!   executor serves skinny GEMMs with: both operands stay as codes,
+//!   every product is one 32×32 table gather;
+//! * **matmul_lut_bias_counter** — the counter-array kernel it serves
+//!   every GEMM of at least four rows with: the same gathers with the
+//!   loops interchanged over four-row panels of A, so each weight row's
+//!   codes are loaded once per panel.
+//!
+//! Both LUT rows time the production functions with a zero bias, on the
+//! activation code bytes the encoding hook retains.
 //!
 //! A second section times the fused block-diagonal packed attention
 //! ([`mokey_transformer::packed::fused_attention_scores`] /
@@ -27,7 +32,7 @@
 //!
 //! Best-of-N values/sec (MACs per second) per kernel land in
 //! `BENCH_kernels.json` at the workspace root. The run **asserts** the
-//! LUT kernel beats the histogram kernel — ≥5× at `192×128×512` in a
+//! pair-LUT kernel beats the histogram kernel — ≥5× at `192×128×512` in a
 //! full run, a relaxed ≥2× under `--quick-check` (CI), where fewer
 //! repetitions absorb less scheduler noise — that the counter-array
 //! kernel is no slower than the pair-LUT gather, and that fused attention
@@ -161,6 +166,8 @@ fn bench(c: &mut Criterion) {
         let qw = quantize(&w);
         let pair = PairLut::new(qa.dict(), qw.dict());
         let w_cols = ColMajorCodes::from_tensor(&qw);
+        let a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
+        let bias = vec![0.0f32; n];
         let macs = M * K * n;
 
         let mut a_scratch: Vec<f32> = Vec::new();
@@ -191,17 +198,17 @@ fn bench(c: &mut Criterion) {
             black_box(&indexed_out);
         });
         let lut_vps = values_per_sec(macs, reps, iters, || {
-            black_box(lut::matmul_lut(&qa, &w_cols, &pair));
+            black_box(lut::matmul_lut_bias(&a_bits, M, K, &qw, &bias, &pair));
         });
         let counter_vps = values_per_sec(macs, reps, iters, || {
-            black_box(lut::matmul_lut_counter(&qa, &w_cols, &pair));
+            black_box(lut::matmul_lut_bias_counter(&a_bits, M, K, &qw, &bias, &pair));
         });
 
         let rows = [
             GemmRow { kernel: "decoded", vps: decoded_vps },
             GemmRow { kernel: "indexed", vps: indexed_vps },
-            GemmRow { kernel: "lut", vps: lut_vps },
-            GemmRow { kernel: "counter_array", vps: counter_vps },
+            GemmRow { kernel: "matmul_lut_bias", vps: lut_vps },
+            GemmRow { kernel: "matmul_lut_bias_counter", vps: counter_vps },
         ];
         for r in &rows {
             measured.push((r.kernel.to_string(), r.vps));
@@ -253,7 +260,7 @@ fn bench(c: &mut Criterion) {
     let speedup_floor = if quick { 2.0 } else { 5.0 };
     assert!(
         lut_speedup_at_512 >= speedup_floor,
-        "matmul_lut only {lut_speedup_at_512:.2}x matmul_indexed at {M}x{K}x512 (floor {speedup_floor}x)"
+        "matmul_lut_bias only {lut_speedup_at_512:.2}x matmul_indexed at {M}x{K}x512 (floor {speedup_floor}x)"
     );
     // The counter-array kernel exists to beat the per-MAC pair-LUT gather
     // at multi-row shapes. Host-parallelism-aware floor: on a multi-core
@@ -264,7 +271,7 @@ fn bench(c: &mut Criterion) {
     let counter_floor = if quick || host_par > 1 { 1.0 } else { 1.2 };
     assert!(
         counter_vs_lut_at_512 >= counter_floor,
-        "matmul_lut_counter only {counter_vs_lut_at_512:.2}x matmul_lut at {M}x{K}x512 (floor {counter_floor}x, host_parallelism {host_par})"
+        "matmul_lut_bias_counter only {counter_vs_lut_at_512:.2}x matmul_lut_bias at {M}x{K}x512 (floor {counter_floor}x, host_parallelism {host_par})"
     );
 
     // ------------------------------------------------------------------
@@ -370,16 +377,12 @@ fn bench(c: &mut Criterion) {
         let w = weight_matrix(1, k);
         let qa = quantize(&a);
         let qw = quantize(&w);
-        let pair = PairLut::new(qa.dict(), qw.dict());
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::new("indexed", k), &k, |b, _| {
             b.iter(|| black_box(kernels::dot_indexed(qa.codes(), qa.dict(), qw.codes(), qw.dict())))
         });
         group.bench_with_input(BenchmarkId::new("decoded", k), &k, |b, _| {
             b.iter(|| black_box(kernels::dot_decoded(qa.codes(), qa.dict(), qw.codes(), qw.dict())))
-        });
-        group.bench_with_input(BenchmarkId::new("lut", k), &k, |b, _| {
-            b.iter(|| black_box(lut::dot_lut(qa.codes(), qw.codes(), &pair)))
         });
         group.bench_with_input(BenchmarkId::new("fp32", k), &k, |b, _| {
             b.iter(|| {
@@ -400,12 +403,15 @@ fn bench(c: &mut Criterion) {
     let qa = quantize(&a);
     let qw = quantize(&w);
     let pair = PairLut::new(qa.dict(), qw.dict());
-    let w_cols = ColMajorCodes::from_tensor(&qw);
+    let a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
+    let bias = [0.0f32; 64];
     let mut gemm = c.benchmark_group("gemm_32x256x64");
     gemm.sample_size(if quick { 2 } else { 20 });
     gemm.bench_function("indexed", |b| b.iter(|| black_box(kernels::matmul_indexed(&qa, &qw))));
     gemm.bench_function("decoded", |b| b.iter(|| black_box(kernels::matmul_decoded(&qa, &qw))));
-    gemm.bench_function("lut", |b| b.iter(|| black_box(lut::matmul_lut(&qa, &w_cols, &pair))));
+    gemm.bench_function("matmul_lut_bias", |b| {
+        b.iter(|| black_box(lut::matmul_lut_bias(&a_bits, 32, 256, &qw, &bias, &pair)))
+    });
     gemm.bench_function("fp32", |b| b.iter(|| black_box(a.matmul(&w))));
     gemm.finish();
 

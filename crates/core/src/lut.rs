@@ -10,19 +10,20 @@
 //! hardware (Section II-D), minus the histogram factorization that
 //! [`crate::kernels::dot_indexed`] models faithfully-but-slowly.
 //!
-//! Two kernels share one table, each mirroring the reduction order of the
-//! float path it replaces so outputs are **bit-identical by construction**:
+//! Two kernels share one table, both mirroring the reduction order of the
+//! float GEMM they replace so outputs are **bit-identical by
+//! construction**: f32 products, the same bias-preloaded, ascending-`k`,
+//! one-add-per-`k`, zero-skipping reduction as
+//! `mokey_tensor::Matrix::matmul_bias` (the `nn::linear` hot path). Per
+//! output row they equal `matmul_bias` on the decoded operands to the
+//! bit, which is what lets index-domain serving return byte-identical
+//! responses to decoded-path serving.
 //!
-//! * [`matmul_lut`] — f64 products, the same fixed 4-lane reduction as
-//!   [`crate::kernels::dot_decoded`] (lane `l` sums pairs `i ≡ l mod 4`,
-//!   combined `(s0+s1)+(s2+s3)`, remainder sequential). Per output scalar
-//!   it equals `dot_decoded` to the bit.
-//! * [`matmul_lut_bias`] — f32 products, the same bias-preloaded,
-//!   ascending-`k`, one-add-per-`k`, zero-skipping reduction as
-//!   `mokey_tensor::Matrix::matmul_bias` (the `nn::linear` hot path). Per
-//!   output row it equals `matmul_bias` on the decoded operands to the
-//!   bit, which is what lets index-domain serving return byte-identical
-//!   responses to decoded-path serving.
+//! * [`matmul_lut_bias`] — the pair-LUT row kernel: one table gather per
+//!   MAC, one activation row at a time (skinny GEMMs);
+//! * [`matmul_lut_bias_counter`] — the counter-array kernel: the same
+//!   gathers with the loops interchanged over four-row panels, so each
+//!   weight row's codes are loaded once per panel (tall GEMMs).
 
 use crate::dict::TensorDict;
 use crate::encode::{Code, QuantizedTensor};
@@ -94,29 +95,18 @@ impl DecodeLut {
 
 /// The dense `decode(ca) · decode(cw)` product table of one
 /// (activation-dict, weight-dict) pair, over all 32 × 32 code bit-patterns
-/// — outliers included.
+/// — outliers included (~4 KB, L1-resident):
 ///
-/// Holds both precision variants (~12 KB total, L1-resident):
-///
-/// * `f64` products — `decode_a(ca) * decode_w(cw)` in exact f64, feeding
-///   the [`matmul_lut`] / [`dot_decoded`](crate::kernels::dot_decoded)
-///   reduction;
 /// * `f32` products — `(decode_a(ca) as f32) * (decode_w(cw) as f32)`,
 ///   the exact multiply the dense float GEMM performs on decoded
-///   operands, feeding [`matmul_lut_bias`];
+///   operands, feeding [`matmul_lut_bias`] and
+///   [`matmul_lut_bias_counter`];
 /// * per-activation-code zero flags mirroring the float kernel's
 ///   zero-operand skip (`a == 0.0` never contributes an addition there,
-///   so the LUT kernel must skip the same codes to keep identical bits).
+///   so the LUT kernels must skip the same codes to keep identical bits).
 #[derive(Clone, PartialEq)]
 pub struct PairLut {
-    prod_f64: Vec<f64>,
     prod_f32: Vec<f32>,
-    /// Weight-major transpose of `prod_f64`: entry `cw * 32 + ca` holds the
-    /// same `decode_a(ca) * decode_w(cw)` product. One weight code selects a
-    /// contiguous 32-entry row — the counter-array kernel's per-weight-code
-    /// partial-sum table, fetched once per row panel instead of recomputing
-    /// the two-sided index per MAC.
-    prod_f64_w: Vec<f64>,
     a_zero: [bool; CODE_PATTERNS],
 }
 
@@ -126,26 +116,15 @@ impl PairLut {
     pub fn new(a_dict: &TensorDict, w_dict: &TensorDict) -> Self {
         let (a_vals, a_valid) = decode_table(a_dict);
         let (w_vals, _) = decode_table(w_dict);
-        let mut prod_f64 = vec![0.0f64; CODE_PATTERNS * CODE_PATTERNS];
         let mut prod_f32 = vec![0.0f32; CODE_PATTERNS * CODE_PATTERNS];
-        let mut prod_f64_w = vec![0.0f64; CODE_PATTERNS * CODE_PATTERNS];
         let mut a_zero = [false; CODE_PATTERNS];
         for ca in 0..CODE_PATTERNS {
             a_zero[ca] = a_valid[ca] && (a_vals[ca] as f32) == 0.0;
             for cw in 0..CODE_PATTERNS {
-                prod_f64[ca * CODE_PATTERNS + cw] = a_vals[ca] * w_vals[cw];
                 prod_f32[ca * CODE_PATTERNS + cw] = (a_vals[ca] as f32) * (w_vals[cw] as f32);
-                prod_f64_w[cw * CODE_PATTERNS + ca] = a_vals[ca] * w_vals[cw];
             }
         }
-        Self { prod_f64, prod_f32, prod_f64_w, a_zero }
-    }
-
-    /// The exact-f64 product `decode_a(ca) · decode_w(cw)`.
-    #[inline]
-    pub fn product_f64(&self, ca: Code, cw: Code) -> f64 {
-        self.prod_f64[(ca.to_bits() as usize & PATTERN_MASK) * CODE_PATTERNS
-            + (cw.to_bits() as usize & PATTERN_MASK)]
+        Self { prod_f32, a_zero }
     }
 
     /// The f32 product `(decode_a(ca) as f32) * (decode_w(cw) as f32)`.
@@ -163,16 +142,6 @@ impl PairLut {
         &self.prod_f32[base..base + CODE_PATTERNS]
     }
 
-    /// One weight code's f64 product row (32 entries, indexed by
-    /// activation-code bits) — the counter-array kernel's partial-sum
-    /// table. Entry `ca` holds the same f64 product as
-    /// [`product_f64`](Self::product_f64)`(ca, cw)`.
-    #[inline]
-    fn f64_wrow(&self, cw_bits: u8) -> &[f64] {
-        let base = (cw_bits as usize & PATTERN_MASK) * CODE_PATTERNS;
-        &self.prod_f64_w[base..base + CODE_PATTERNS]
-    }
-
     /// `true` when the activation code decodes to `0.0f32` — the float
     /// GEMM's zero-skip would drop every product with it.
     #[inline]
@@ -182,10 +151,7 @@ impl PairLut {
 
     /// Approximate heap footprint, for cache accounting.
     pub fn bytes(&self) -> usize {
-        self.prod_f64.len() * 8
-            + self.prod_f32.len() * 4
-            + self.prod_f64_w.len() * 8
-            + self.a_zero.len()
+        self.prod_f32.len() * 4 + self.a_zero.len()
     }
 }
 
@@ -196,9 +162,9 @@ impl std::fmt::Debug for PairLut {
 }
 
 /// A quantized matrix's codes gathered into one flat **column-major**
-/// buffer — a single allocation holding every column contiguously, shared
-/// by [`matmul_lut`] and [`crate::kernels::matmul_indexed`] as their
-/// weight-side layout (both sweep whole columns per output scalar).
+/// buffer — a single allocation holding every column contiguously: the
+/// weight-side layout of [`crate::kernels::matmul_indexed`], which sweeps
+/// whole columns per output scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColMajorCodes {
     rows: usize,
@@ -241,67 +207,6 @@ impl ColMajorCodes {
         assert!(j < self.cols, "column {j} out of bounds");
         &self.codes[j * self.rows..(j + 1) * self.rows]
     }
-}
-
-/// One LUT dot product with the pinned
-/// [`dot_decoded`](crate::kernels::dot_decoded) lane structure: lane `l`
-/// accumulates pairs `i ≡ l (mod 4)` over the 4-wide prefix, lanes combine
-/// as `(s0 + s1) + (s2 + s3)`, the remainder is added sequentially. Each
-/// term is the table's exact f64 product, so the result is bit-identical
-/// to `dot_decoded` on the same code streams.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot_lut(a_codes: &[Code], w_codes: &[Code], lut: &PairLut) -> f64 {
-    assert_eq!(a_codes.len(), w_codes.len(), "dot length mismatch");
-    let mut ca = a_codes.chunks_exact(4);
-    let mut cw = w_codes.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (xa, xw) in (&mut ca).zip(&mut cw) {
-        s0 += lut.product_f64(xa[0], xw[0]);
-        s1 += lut.product_f64(xa[1], xw[1]);
-        s2 += lut.product_f64(xa[2], xw[2]);
-        s3 += lut.product_f64(xa[3], xw[3]);
-    }
-    let mut acc = (s0 + s1) + (s2 + s3);
-    for (&x, &y) in ca.remainder().iter().zip(cw.remainder()) {
-        acc += lut.product_f64(x, y);
-    }
-    acc
-}
-
-/// Column panel for [`matmul_lut`]: a `CJB`-column stripe of the
-/// column-major weight codes stays cache-resident while every activation
-/// row sweeps it (panel order never changes any scalar's reduction — each
-/// output is one independent [`dot_lut`]).
-const CJB: usize = 64;
-
-/// Index-domain GEMM through the pair LUT: `A (M×K) · W (K×N)` where both
-/// operands stay as codes and every product is one table gather.
-///
-/// Each output scalar is computed by [`dot_lut`] and is therefore
-/// **bit-identical** to [`crate::kernels::dot_decoded`] over the same row
-/// and column codes — the property tests pin this per scalar.
-///
-/// # Panics
-///
-/// Panics if inner dimensions differ.
-pub fn matmul_lut(a: &QuantizedTensor, w_cols: &ColMajorCodes, lut: &PairLut) -> Matrix {
-    assert_eq!(a.cols(), w_cols.rows(), "matmul_lut inner dimension mismatch");
-    let (m, n) = (a.rows(), w_cols.cols());
-    let mut out = Matrix::zeros(m, n);
-    for j0 in (0..n).step_by(CJB) {
-        let jb = CJB.min(n - j0);
-        for i in 0..m {
-            let a_row = a.row_codes(i);
-            let o_row = &mut out.row_mut(i)[j0..j0 + jb];
-            for (o, j) in o_row.iter_mut().zip(j0..) {
-                *o = dot_lut(a_row, w_cols.col(j), lut) as f32;
-            }
-        }
-    }
-    out
 }
 
 /// Index-domain fused GEMM + bias mirroring
@@ -361,139 +266,13 @@ pub fn matmul_lut_bias(
     Matrix::from_vec(m, n, data)
 }
 
-/// Activation-row panel height for the counter-array kernels: one weight
-/// column's codes (and their 32-entry product rows) are walked **once per
-/// panel** of `PANEL_ROWS` activation rows instead of once per row, which
-/// is where the counter-array formulation pays — the per-weight-code
-/// gather is amortized `PANEL_ROWS`-fold while every scalar keeps its own
-/// pinned reduction. Sixteen rows keep the four fetched product rows hot
-/// across 64 accumulation chains per chunk — measured the steadiest win
-/// over 8 on the reference host — while the panel scratch stays ~2 KB.
-const PANEL_ROWS: usize = 16;
-
-/// Counter-array index-domain GEMM: the paper's per-weight-code reduction
-/// (Section II-D), generalized from counts to **partial sums** so outlier
-/// activations work, expressed as a row-panel kernel.
-///
-/// The paper's PE counts how often each weight code meets each activation
-/// magnitude and multiplies once per *code* instead of once per MAC. In
-/// software the equivalent factorization is the weight-major product table:
-/// each weight code `cw` selects one 32-entry row of pre-multiplied
-/// `decode_a(·) · decode_w(cw)` partial sums, so the inner loop is a
-/// single byte-indexed gather — the two-sided `(ca, cw)` index arithmetic
-/// of [`matmul_lut`] collapses to one table-row fetch per weight code per
-/// panel.
-///
-/// Bit-identity: each output scalar keeps **exactly**
-/// [`dot_decoded`](crate::kernels::dot_decoded)'s pinned reduction — lane
-/// `l` sums `k ≡ l (mod 4)` over the 4-wide prefix, lanes combine
-/// `(s0 + s1) + (s2 + s3)`, remainder sequential — and every gathered term
-/// is the same f64 product, so outputs equal [`matmul_lut`] (and therefore
-/// `dot_decoded`) to the bit; only the amount of index arithmetic per MAC
-/// changes, never any scalar's add order.
-///
-/// # Panics
-///
-/// Panics if inner dimensions differ.
-pub fn matmul_lut_counter(a: &QuantizedTensor, w_cols: &ColMajorCodes, lut: &PairLut) -> Matrix {
-    assert_eq!(a.cols(), w_cols.rows(), "matmul_lut inner dimension mismatch");
-    let (m, n) = (a.rows(), w_cols.cols());
-    let k = a.cols();
-    let mut out = Matrix::zeros(m, n);
-    let kc = k - (k % 4);
-    // The panel's activation codes, masked to table indexes once per panel
-    // (reused across all `n` columns) and stored chunk-major — 4 bytes of
-    // row 0, 4 bytes of row 1, … — so the inner loop walks one sequential
-    // slab per 4-wide `k` chunk.
-    let mut panel = vec![0u8; PANEL_ROWS * kc];
-    for i0 in (0..m).step_by(PANEL_ROWS) {
-        let rb = PANEL_ROWS.min(m - i0);
-        if rb == PANEL_ROWS {
-            for (r, row) in (i0..i0 + rb).map(|i| a.row_codes(i)).enumerate() {
-                for c in 0..kc / 4 {
-                    for p in 0..4 {
-                        panel[(c * PANEL_ROWS + r) * 4 + p] =
-                            row[c * 4 + p].to_bits() & PATTERN_MASK as u8;
-                    }
-                }
-            }
-            for j in 0..n {
-                let col = w_cols.col(j);
-                // Full panel: constant row count so the accumulator array
-                // unrolls completely.
-                let mut acc = [[0.0f64; 4]; PANEL_ROWS];
-                counter_panel_columns::<PANEL_ROWS>(&panel, col, lut, &mut acc);
-                for (r, s) in acc.iter().enumerate() {
-                    out[(i0 + r, j)] = counter_finish(s, a.row_codes(i0 + r), col, lut);
-                }
-            }
-        } else {
-            for r in 0..rb {
-                let row = a.row_codes(i0 + r);
-                for (dst, c) in panel[..kc].iter_mut().zip(row) {
-                    *dst = c.to_bits() & PATTERN_MASK as u8;
-                }
-                for j in 0..n {
-                    let col = w_cols.col(j);
-                    let mut acc = [[0.0f64; 4]; 1];
-                    counter_panel_columns::<1>(&panel[..kc], col, lut, &mut acc);
-                    out[(i0 + r, j)] = counter_finish(&acc[0], row, col, lut);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Lane-accumulation core of [`matmul_lut_counter`] over one weight column
-/// and `R` pre-masked, chunk-major activation rows: per 4-wide `k` chunk,
-/// the four weight-code product rows are fetched **once** and every
-/// activation row gathers from them, each row keeping its own pinned
-/// `dot_decoded` lanes (`acc[r][l]` sums `k ≡ l mod 4`).
-#[inline]
-fn counter_panel_columns<const R: usize>(
-    panel: &[u8],
-    col: &[Code],
-    lut: &PairLut,
-    acc: &mut [[f64; 4]; R],
-) {
-    let chunks = panel.len() / (R * 4);
-    for (c, cw4) in col.chunks_exact(4).enumerate().take(chunks) {
-        let w0 = lut.f64_wrow(cw4[0].to_bits());
-        let w1 = lut.f64_wrow(cw4[1].to_bits());
-        let w2 = lut.f64_wrow(cw4[2].to_bits());
-        let w3 = lut.f64_wrow(cw4[3].to_bits());
-        let slab = &panel[c * R * 4..(c + 1) * R * 4];
-        for (s, ar) in acc.iter_mut().zip(slab.chunks_exact(4)) {
-            s[0] += w0[(ar[0] & PATTERN_MASK as u8) as usize];
-            s[1] += w1[(ar[1] & PATTERN_MASK as u8) as usize];
-            s[2] += w2[(ar[2] & PATTERN_MASK as u8) as usize];
-            s[3] += w3[(ar[3] & PATTERN_MASK as u8) as usize];
-        }
-    }
-}
-
-/// Folds one row's counter lanes exactly as `dot_decoded` does —
-/// `(s0 + s1) + (s2 + s3)` then the sub-lane remainder sequentially — and
-/// casts to the output f32.
-#[inline]
-fn counter_finish(s: &[f64; 4], a_row: &[Code], col: &[Code], lut: &PairLut) -> f32 {
-    let k = a_row.len();
-    let kc = k - (k % 4);
-    let mut v = (s[0] + s[1]) + (s[2] + s[3]);
-    for kk in kc..k {
-        let wrow = lut.f64_wrow(col[kk].to_bits());
-        v += wrow[(a_row[kk].to_bits() & PATTERN_MASK as u8) as usize];
-    }
-    v as f32
-}
-
-/// Counter-array variant of [`matmul_lut_bias`]: identical contract and
-/// identical bits (bias pre-load, ascending-`k`, one f32 add per
-/// contributing element, code-domain zero skip, [`SKIP_CODE`] rows →
-/// bias), but the `k`/`j` loops are interchanged over a `PANEL_ROWS`-row
-/// panel so each weight row's code bytes are loaded and masked **once per
-/// panel** instead of once per activation row.
+/// Counter-array variant of [`matmul_lut_bias`] — the paper's
+/// per-weight-code PE reduction (Section II-D) turned rowful: identical
+/// contract and identical bits (bias pre-load, ascending-`k`, one f32 add
+/// per contributing element, code-domain zero skip, [`SKIP_CODE`] rows →
+/// bias), but the `k`/`j` loops are interchanged over a four-row panel so
+/// each weight row's code bytes are loaded and masked **once per panel**
+/// instead of once per activation row.
 ///
 /// Per output element the adds still happen in ascending `k` with the same
 /// skip conditions — within one `k` every element receives at most one add
@@ -612,7 +391,7 @@ mod tests {
     use super::*;
     use crate::curve::ExpCurve;
     use crate::dict::{OutlierPolicy, TensorDictConfig};
-    use crate::kernels::{dot_decoded, matmul_indexed};
+    use crate::kernels::matmul_indexed;
     use mokey_tensor::init::GaussianMixture;
 
     fn quantized_pair(
@@ -655,8 +434,6 @@ mod tests {
         let lut = PairLut::new(qa.dict(), qw.dict());
         for &ca in qa.codes() {
             for &cw in qw.codes() {
-                let expect = qa.dict().decode_code(ca) * qw.dict().decode_code(cw);
-                assert_eq!(lut.product_f64(ca, cw).to_bits(), expect.to_bits());
                 let expect32 =
                     (qa.dict().decode_code(ca) as f32) * (qw.dict().decode_code(cw) as f32);
                 assert_eq!(lut.product_f32(ca, cw).to_bits(), expect32.to_bits());
@@ -678,7 +455,7 @@ mod tests {
         // An outlier activation pattern is invalid for the G-only dict.
         let ot_code = Code::new(true, false, 0);
         let g_code = Code::new(false, false, 3);
-        assert_eq!(lut.product_f64(ot_code, g_code), 0.0);
+        assert_eq!(lut.product_f32(ot_code, g_code), 0.0);
         assert!(!lut.activation_is_zero(ot_code.to_bits()));
     }
 
@@ -694,40 +471,12 @@ mod tests {
     }
 
     #[test]
-    fn dot_lut_is_bit_identical_to_dot_decoded() {
-        // One wide pair; prefixes exercise empty, sub-lane, and remainder
-        // lengths against the same dictionaries.
-        let (qa, qw) = quantized_pair(1, 513, 1, 17);
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        for len in [0usize, 1, 3, 4, 7, 128, 513] {
-            let fast = dot_lut(&qa.codes()[..len], &qw.codes()[..len], &lut);
-            let reference =
-                dot_decoded(&qa.codes()[..len], qa.dict(), &qw.codes()[..len], qw.dict());
-            assert_eq!(fast.to_bits(), reference.to_bits(), "len {len}");
-        }
-    }
-
-    #[test]
-    fn matmul_lut_is_bit_identical_to_per_scalar_dot_decoded() {
-        let (qa, qw) = quantized_pair(6, 130, 70, 23);
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let out = matmul_lut(&qa, &cols, &lut);
-        assert_eq!(out.shape(), (6, 70));
-        for i in 0..6 {
-            for j in 0..70 {
-                let expect = dot_decoded(qa.row_codes(i), qa.dict(), cols.col(j), qw.dict()) as f32;
-                assert_eq!(out[(i, j)].to_bits(), expect.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn matmul_lut_tracks_matmul_indexed_numerically() {
+        // The f32 table kernel against the paper's histogram datapath.
         let (qa, qw) = quantized_pair(5, 96, 9, 31);
-        let cols = ColMajorCodes::from_tensor(&qw);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let fast = matmul_lut(&qa, &cols, &lut);
+        let a_bits: Vec<u8> = qa.codes().iter().map(|c| c.to_bits()).collect();
+        let fast = matmul_lut_bias(&a_bits, 5, 96, &qw, &[0.0; 9], &lut);
         let slow = matmul_indexed(&qa, &qw);
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
@@ -798,27 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_lut_counter_is_bit_identical_to_matmul_lut_and_dot_decoded() {
-        // 13 rows: one full 8-row panel plus a 5-row remainder panel; 130
-        // columns of K leave a 2-wide lane remainder.
-        let (qa, qw) = quantized_pair(13, 130, 70, 79);
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let fast = matmul_lut_counter(&qa, &cols, &lut);
-        let reference = matmul_lut(&qa, &cols, &lut);
-        assert_eq!(fast.shape(), reference.shape());
-        for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for i in 0..13 {
-            for j in 0..70 {
-                let expect = dot_decoded(qa.row_codes(i), qa.dict(), cols.col(j), qw.dict()) as f32;
-                assert_eq!(fast[(i, j)].to_bits(), expect.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn matmul_lut_bias_counter_is_bit_identical_to_row_kernel() {
         // 11 rows split across two panels; k = 300 exercises a long
         // ascending reduction.
@@ -837,9 +565,9 @@ mod tests {
 
     #[test]
     fn matmul_lut_bias_counter_skip_rows_emit_bias_within_a_panel() {
-        // Skip rows scattered inside and across panel boundaries (rows 1,
-        // 7, 8 with PANEL_ROWS = 8) must emit the bias while their panel
-        // neighbours stay bit-identical to the row kernel.
+        // Skip rows scattered across the four-row quads (rows 1, 7, 8) must
+        // emit the bias while their quad neighbours stay bit-identical to
+        // the row kernel.
         let (qa, qw) = quantized_pair(10, 64, 8, 89);
         let lut = PairLut::new(qa.dict(), qw.dict());
         let bias = [0.5f32, -1.0, 0.25, 2.0, 0.0, 1.5, -0.75, 0.125];
@@ -865,32 +593,31 @@ mod tests {
         let lut = PairLut::new(qa.dict(), qw.dict());
         let out = matmul_lut_bias_counter(&[], 0, 8, &qw, &[0.0; 3], &lut);
         assert_eq!(out.shape(), (0, 3));
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let empty_a = QuantizedTensor::encode(&Matrix::zeros(0, 8), qa.dict());
-        let out = matmul_lut_counter(&empty_a, &cols, &lut);
-        assert_eq!(out.shape(), (0, 3));
+        let no_n = QuantizedTensor::encode(&Matrix::zeros(8, 0), qw.dict());
+        let out = matmul_lut_bias_counter(&[0; 16], 2, 8, &no_n, &[], &lut);
+        assert_eq!(out.shape(), (2, 0));
     }
 
     #[test]
     fn empty_and_degenerate_shapes_are_handled() {
         let (qa, qw) = quantized_pair(1, 8, 3, 61);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let cols = ColMajorCodes::from_tensor(&qw);
         // Zero-row activation: empty output.
         let out = matmul_lut_bias(&[], 0, 8, &qw, &[0.0; 3], &lut);
         assert_eq!(out.shape(), (0, 3));
-        let empty = dot_lut(&[], &[], &lut);
-        assert_eq!(empty, 0.0);
-        let _ = cols;
+        // Zero-depth GEMM: every row is its bias.
+        let bias = [0.5f32, -1.0, 2.0];
+        let no_k = QuantizedTensor::encode(&Matrix::zeros(0, 3), qw.dict());
+        let out = matmul_lut_bias(&[], 2, 0, &no_k, &bias, &lut);
+        assert_eq!((out.row(0), out.row(1)), (&bias[..], &bias[..]));
     }
 
     #[test]
     #[should_panic(expected = "inner dimension mismatch")]
     fn matmul_lut_shape_mismatch_panics() {
         let (qa, qw) = quantized_pair(2, 8, 2, 71);
-        let (qa2, _) = quantized_pair(2, 16, 2, 73);
         let lut = PairLut::new(qa.dict(), qw.dict());
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let _ = matmul_lut(&qa2, &cols, &lut);
+        // Sixteen activation columns against an eight-row weight.
+        let _ = matmul_lut_bias(&[0; 32], 2, 16, &qw, &[0.0; 2], &lut);
     }
 }

@@ -7,10 +7,7 @@ use mokey_core::curve::ExpCurve;
 use mokey_core::dict::{OutlierPolicy, TensorDict, TensorDictConfig};
 use mokey_core::encode::{Code, QuantizedTensor};
 use mokey_core::kernels;
-use mokey_core::lut::{
-    matmul_lut, matmul_lut_bias, matmul_lut_bias_counter, matmul_lut_counter, ColMajorCodes,
-    PairLut, SKIP_CODE,
-};
+use mokey_core::lut::{matmul_lut_bias, matmul_lut_bias_counter, PairLut, SKIP_CODE};
 use mokey_core::quantizer::OutputQuantizer;
 use mokey_tensor::Matrix;
 use proptest::prelude::*;
@@ -136,44 +133,6 @@ proptest! {
         prop_assert_eq!(bd.sow2.iter().sum::<i64>(), bd.pom3);
     }
 
-    /// The LUT GEMM is bit-identical to `dot_decoded` **per output
-    /// scalar**, for arbitrary shapes (including ragged remainders around
-    /// the 4-lane structure and empty activations) and for outlier-heavy
-    /// dictionaries — the `Fraction(0.2)` policy forces ~20% of codes
-    /// through the OT table, so the table's outlier rows are exercised.
-    #[test]
-    fn matmul_lut_equals_dot_decoded_per_scalar(
-        a_vals in tensor_strategy(),
-        w_vals in tensor_strategy(),
-        m in 0usize..5,
-        n in 1usize..7,
-        outlier_heavy in prop::bool::ANY,
-    ) {
-        let k = (a_vals.len() / m.max(1)).min(w_vals.len() / n).max(1);
-        prop_assume!(a_vals.len() >= m * k && w_vals.len() >= k * n);
-        let policy = if outlier_heavy {
-            OutlierPolicy::Fraction(0.2)
-        } else {
-            OutlierPolicy::CurveMidpoint
-        };
-        let a = Matrix::from_vec(m, k, a_vals[..m * k].to_vec());
-        let w = Matrix::from_vec(k, n, w_vals[..k * n].to_vec());
-        let qa = QuantizedTensor::encode(&a, &dict_for(&a_vals, policy));
-        let qw = QuantizedTensor::encode(&w, &dict_for(&w_vals, policy));
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let out = matmul_lut(&qa, &cols, &lut);
-        prop_assert_eq!(out.shape(), (m, n));
-        for i in 0..m {
-            for j in 0..n {
-                let reference =
-                    kernels::dot_decoded(qa.row_codes(i), qa.dict(), cols.col(j), qw.dict()) as f32;
-                prop_assert_eq!(out[(i, j)].to_bits(), reference.to_bits(),
-                    "scalar ({},{}) diverged", i, j);
-            }
-        }
-    }
-
     /// The serving LUT kernel is bit-identical to the dense float GEMM on
     /// decoded operands, row for row — including packed layouts where some
     /// rows are never-encoded padding (the skip sentinel) and must emit the
@@ -217,47 +176,6 @@ proptest! {
                 for (x, y) in fast.row(r).iter().zip(reference.row(r)) {
                     prop_assert_eq!(x.to_bits(), y.to_bits(), "row {} diverged", r);
                 }
-            }
-        }
-    }
-
-    /// The counter-array GEMM is bit-identical to both `matmul_lut` and
-    /// `dot_decoded` **per output scalar**, across shapes that cross the
-    /// row-panel boundary (full 16-row panels plus ragged remainders) and
-    /// the 4-code lane remainder, with outlier-heavy dictionaries forcing
-    /// codes through the OT table.
-    #[test]
-    fn matmul_lut_counter_equals_dot_decoded_per_scalar(
-        a_vals in tensor_strategy(),
-        w_vals in tensor_strategy(),
-        m in 0usize..20,
-        n in 1usize..7,
-        outlier_heavy in prop::bool::ANY,
-    ) {
-        let k = (a_vals.len() / m.max(1)).min(w_vals.len() / n).max(1);
-        prop_assume!(a_vals.len() >= m * k && w_vals.len() >= k * n);
-        let policy = if outlier_heavy {
-            OutlierPolicy::Fraction(0.2)
-        } else {
-            OutlierPolicy::CurveMidpoint
-        };
-        let a = Matrix::from_vec(m, k, a_vals[..m * k].to_vec());
-        let w = Matrix::from_vec(k, n, w_vals[..k * n].to_vec());
-        let qa = QuantizedTensor::encode(&a, &dict_for(&a_vals, policy));
-        let qw = QuantizedTensor::encode(&w, &dict_for(&w_vals, policy));
-        let lut = PairLut::new(qa.dict(), qw.dict());
-        let cols = ColMajorCodes::from_tensor(&qw);
-        let counter = matmul_lut_counter(&qa, &cols, &lut);
-        let row_kernel = matmul_lut(&qa, &cols, &lut);
-        prop_assert_eq!(counter.shape(), (m, n));
-        for i in 0..m {
-            for j in 0..n {
-                prop_assert_eq!(counter[(i, j)].to_bits(), row_kernel[(i, j)].to_bits(),
-                    "counter vs matmul_lut diverged at ({},{})", i, j);
-                let reference =
-                    kernels::dot_decoded(qa.row_codes(i), qa.dict(), cols.col(j), qw.dict()) as f32;
-                prop_assert_eq!(counter[(i, j)].to_bits(), reference.to_bits(),
-                    "counter vs dot_decoded diverged at ({},{})", i, j);
             }
         }
     }

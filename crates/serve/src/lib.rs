@@ -12,9 +12,9 @@
 //! per-model + aggregate metrics) runs a queue → batcher → worker-pool
 //! engine around them:
 //!
-//! * **admission control** — a [`BoundedQueue`](queue::BoundedQueue)
-//!   validates requests (vocabulary, sequence length) and bounds the
-//!   backlog; [`ServeHandle::submit`] applies backpressure by blocking,
+//! * **admission control** — requests are validated (vocabulary,
+//!   sequence length) and a [`TaggedQueue`](queue::TaggedQueue) bounds
+//!   the backlog; [`ServeHandle::submit`] applies backpressure by blocking,
 //!   [`ServeHandle::try_submit`] bounces with
 //!   [`SubmitError::QueueFull`];
 //! * **dynamic batching** — workers coalesce up to

@@ -72,6 +72,7 @@ pub struct NetHandle<'a, 'e> {
     addr: SocketAddr,
     engine: &'a ServeHandle<'e>,
     accepted: &'a AtomicU64,
+    conns: &'a Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl<'e> NetHandle<'_, 'e> {
@@ -89,6 +90,12 @@ impl<'e> NetHandle<'_, 'e> {
     /// Connections accepted so far.
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Connections still open: the sockets the server holds for them.
+    /// A connection's socket is released as soon as it ends.
+    pub fn open_connections(&self) -> usize {
+        self.conns.lock().expect("conn list poisoned").len()
     }
 }
 
@@ -165,9 +172,11 @@ where
     let accepted = AtomicU64::new(0);
 
     Ok(serve_registry(registry, config, |handle| {
-        // Clones of every accepted socket, so shutdown can unblock
-        // readers parked in `read` via `Shutdown::Read`.
-        let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
+        // Clones of every open connection's socket, keyed by accept
+        // order, so shutdown can unblock readers parked in `read` via
+        // `Shutdown::Read`. A connection removes its own entry when it
+        // ends, so the server holds no socket for a closed one.
+        let conns: Mutex<HashMap<u64, TcpStream>> = Mutex::new(HashMap::new());
         std::thread::scope(|scope| {
             let acceptor = scope.spawn(|| {
                 while !shutdown.load(Ordering::SeqCst) {
@@ -175,13 +184,16 @@ where
                         Ok((stream, _peer)) => {
                             let _ = stream.set_nodelay(true);
                             let _ = stream.set_write_timeout(net.write_timeout);
-                            accepted.fetch_add(1, Ordering::Relaxed);
+                            let id = accepted.fetch_add(1, Ordering::Relaxed);
                             if let Ok(clone) = stream.try_clone() {
-                                conns.lock().expect("conn list poisoned").push(clone);
+                                conns.lock().expect("conn list poisoned").insert(id, clone);
                             }
-                            let names = &names;
+                            let (names, conns) = (&names, &conns);
                             let max = net.max_frame_bytes;
-                            scope.spawn(move || serve_connection(stream, handle, names, max));
+                            scope.spawn(move || {
+                                serve_connection(stream, handle, names, max);
+                                conns.lock().expect("conn list poisoned").remove(&id);
+                            });
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(2));
@@ -202,7 +214,7 @@ where
             // acceptor.
             struct DrainOnDrop<'s, 'a> {
                 shutdown: &'a AtomicBool,
-                conns: &'a Mutex<Vec<TcpStream>>,
+                conns: &'a Mutex<HashMap<u64, TcpStream>>,
                 acceptor: Option<std::thread::ScopedJoinHandle<'s, ()>>,
             }
             impl Drop for DrainOnDrop<'_, '_> {
@@ -212,7 +224,7 @@ where
                         let _ = acceptor.join();
                     }
                     if let Ok(mut conns) = self.conns.lock() {
-                        for conn in conns.drain(..) {
+                        for (_, conn) in conns.drain() {
                             let _ = conn.shutdown(Shutdown::Read);
                         }
                     }
@@ -220,7 +232,7 @@ where
             }
             let _drain =
                 DrainOnDrop { shutdown: &shutdown, conns: &conns, acceptor: Some(acceptor) };
-            f(&NetHandle { addr, engine: handle, accepted: &accepted })
+            f(&NetHandle { addr, engine: handle, accepted: &accepted, conns: &conns })
         })
     }))
 }
@@ -382,9 +394,9 @@ fn serve_connection(
         // in-flight responses.
         drop(tx);
     });
-    // The shutdown list still holds a clone of this socket, so dropping
-    // our handles alone would not send FIN; shut the socket down
-    // explicitly (after the writer flushed) so the peer sees a clean
-    // EOF.
+    // The shutdown list still holds a clone of this socket until the
+    // caller removes it, so dropping our handles alone would not send FIN
+    // yet; shut the socket down explicitly (after the writer flushed) so
+    // the peer sees a clean EOF.
     let _ = stream.shutdown(Shutdown::Both);
 }

@@ -2,32 +2,35 @@
 //!
 //! The serving engine's one-shot requests run a single encoder pass;
 //! this module adds the other dominant traffic shape: **generation**.
-//! A [`DecodeSession`] prefills the prompt through the existing
-//! [`Model::forward`] (bidirectional over the prompt, exactly the
-//! encoder semantics every other path uses), harvesting each layer's
-//! K/V activation codes into a [`KvCache`]; every subsequent token is
-//! then computed *incrementally* — one `1 × hidden` row per layer,
-//! attending causally over the cached K/V rows plus itself — with the
-//! very same executor hooks (`dictionary encode → decode`, weight
-//! substitution, Eq. 7/8 output snapping, and the pair-LUT GEMM path
-//! under [`ExecMode::IndexDomain`]) the full forward pass uses.
+//! Prefill and every decode step run the model's one layer step — the
+//! same hooks (`dictionary encode → decode`, weight substitution, Eq. 7/8
+//! output snapping, and the pair-LUT GEMM path under
+//! [`ExecMode::IndexDomain`]) and the same fused attention kernels as a
+//! packed forward pass. Only where attention reads its keys and values
+//! differs: a [`DecodeSession`] harvests each layer's K/V activation codes
+//! into a [`KvCache`] and attends over the cache. The prefill is a pack
+//! of the whole prompt (bidirectional over the prompt, exactly the
+//! encoder semantics every other path uses); each later token is a pack
+//! of one query row at the next position
+//! ([`PackedBatch::after_history`]), attending over the cached K/V rows
+//! plus itself.
 //!
 //! Attention semantics are prefix-LM style and self-consistent with the
 //! cache: prompt positions attend only to the prompt (their K/V are
 //! frozen at prefill), and each generated position attends to the
 //! prompt plus every earlier generated position plus itself. Because
 //! the cache stores *codes* and rematerializes floats through the same
-//! [`DecodeLut`] the encoding hook used,
-//! the incremental step is bit-identical to a from-scratch recompute of
-//! the entire prefix — pinned by [`generate_reference`], which re-runs
+//! [`DecodeLut`](mokey_core::lut::DecodeLut) the encoding hook used, the
+//! incremental step is bit-identical to a from-scratch recompute of the
+//! entire prefix — pinned by [`generate_reference`], which re-runs
 //! prefill plus every earlier step from scratch each token, carrying
 //! K/V as plain floats instead of cached codes.
 
 use crate::exec::{ExecMode, Executor, QuantizedContext, QuantizedExecutor, QuantizedStats};
 use crate::kv::KvCache;
-use crate::model::Model;
-use mokey_core::lut::DecodeLut;
-use mokey_tensor::{dot, nn, Matrix};
+use crate::model::{KvSource, LayerNames, Model};
+use crate::packed::PackedBatch;
+use mokey_tensor::{dot, Matrix};
 
 /// A finished generation: the sampled tokens, the final hidden row the
 /// last token was sampled from, and the activation-encoding counters
@@ -64,7 +67,7 @@ pub struct DecodeSession {
 }
 
 impl DecodeSession {
-    /// Prefills the prompt (one full [`Model::forward`] pass) and caches
+    /// Prefills the prompt (one pass of the whole prompt) and caches
     /// every layer's K/V codes. `max_tokens` bounds the generation;
     /// `eos` optionally stops it early. Generation also stops when the
     /// cache reaches the model's `max_seq`.
@@ -87,28 +90,20 @@ impl DecodeSession {
             ctx.act_dicts.contains_key("L0.attn.k"),
             "decode requires activation quantization (K/V dictionaries)"
         );
-        let layers = model.config().layers;
-        let mut exec = QuantizedExecutor::with_mode(ctx, mode);
-        exec.capture(kv_capture_names(layers));
-        let hidden = model.forward(&mut exec, prompt);
-        let mut cache = KvCache::new(layers, model.config().hidden);
-        for li in 0..layers {
-            let k = exec.take_captured(&format!("L{li}.attn.k")).expect("captured K codes");
-            let v = exec.take_captured(&format!("L{li}.attn.v")).expect("captured V codes");
-            cache.append(li, &k, &v);
-        }
-        Self {
+        let mut session = Self {
             mode,
             prompt_len: prompt.len(),
-            tokens: prompt.to_vec(),
+            tokens: Vec::new(),
             generated: Vec::new(),
             max_tokens,
             eos,
-            cache,
-            last_hidden: hidden.slice_rows(prompt.len() - 1, 1),
-            stats: exec.stats(),
+            cache: KvCache::new(model.config().layers, model.config().hidden),
+            last_hidden: Matrix::zeros(0, 0),
+            stats: QuantizedStats::default(),
             done: max_tokens == 0,
-        }
+        };
+        session.advance(model, ctx, prompt);
+        session
     }
 
     /// Samples the next greedy token and, unless that finishes the
@@ -126,21 +121,20 @@ impl DecodeSession {
             || Some(t) == self.eos
             || self.tokens.len() >= model.config().max_seq;
         if !self.done {
-            self.advance(model, ctx, t);
+            self.advance(model, ctx, &[t]);
         }
         t
     }
 
-    /// One incremental layer-stack pass for `token` at the next cache
-    /// position.
-    fn advance(&mut self, model: &Model, ctx: &QuantizedContext, token: usize) {
-        let pos = self.tokens.len();
-        let x = model.embed_one(token, pos);
+    /// Runs `tokens` at the next cache positions through the layer
+    /// stack, appending their K/V codes to the cache.
+    fn advance(&mut self, model: &Model, ctx: &QuantizedContext, tokens: &[usize]) {
         let mut exec = QuantizedExecutor::with_mode(ctx, self.mode);
-        exec.capture(kv_capture_names(model.config().layers));
-        let mut backing = CodeBacked { cache: &mut self.cache };
-        self.last_hidden = step_hidden(model, ctx, &mut exec, &mut backing, x);
-        self.tokens.push(token);
+        let names = model.layer_names();
+        exec.capture(names.iter().flat_map(|n| [n.k.clone(), n.v.clone()]));
+        let mut kv = CodeBacked { ctx, names, cache: &mut self.cache };
+        self.last_hidden = pass(model, &mut exec, &mut kv, self.tokens.len(), tokens);
+        self.tokens.extend_from_slice(tokens);
         self.stats.merge(&exec.stats());
     }
 
@@ -193,11 +187,11 @@ pub fn generate(
 }
 
 /// The no-cache reference oracle: every token re-runs the **entire
-/// prefix from scratch** — a fresh prefill forward plus a fresh
-/// incremental pass per earlier token — carrying K/V as plain float
-/// matrices harvested straight from the executor hooks instead of
-/// cached codes. [`generate`] must match it bit-for-bit (tokens, final
-/// hidden row, and counters); the decode proptest pins exactly that.
+/// prefix from scratch** — a fresh prefill plus a fresh incremental pass
+/// per earlier token — carrying K/V as plain float matrices taken
+/// straight from the encoding hooks instead of cached codes. [`generate`]
+/// must match it bit-for-bit (tokens, final hidden row, and counters);
+/// the decode proptest pins exactly that.
 pub fn generate_reference(
     model: &Model,
     ctx: &QuantizedContext,
@@ -213,26 +207,19 @@ pub fn generate_reference(
         // Re-run the full prefix: prefill, then replay every generated
         // token at its position with float-carried K/V.
         let mut exec = QuantizedExecutor::with_mode(ctx, mode);
-        let mut rec = KvRecorder {
-            inner: &mut exec,
+        let mut kv = FloatBacked {
             k: vec![Matrix::zeros(0, 0); layers],
             v: vec![Matrix::zeros(0, 0); layers],
         };
-        let full = model.forward(&mut rec, prompt);
-        let (mut kf, mut vf) = (rec.k, rec.v);
-        let mut iter_stats = exec.stats();
-        let mut last = full.slice_rows(prompt.len() - 1, 1);
+        let mut last = pass(model, &mut exec, &mut kv, 0, prompt);
         for (i, &t) in generated.iter().enumerate() {
-            let x = model.embed_one(t, prompt.len() + i);
-            let mut step_exec = QuantizedExecutor::with_mode(ctx, mode);
-            let mut backing = FloatBacked { k: &mut kf, v: &mut vf };
-            last = step_hidden(model, ctx, &mut step_exec, &mut backing, x);
-            iter_stats.merge(&step_exec.stats());
+            last = pass(model, &mut exec, &mut kv, prompt.len() + i, &[t]);
         }
+        let stats = exec.stats();
         if generated.len() >= max_tokens {
             // Only reachable with max_tokens == 0 (otherwise the break
             // below fires first).
-            return GenerateResult { tokens: generated, hidden: last, stats: iter_stats };
+            return GenerateResult { tokens: generated, hidden: last, stats };
         }
         let t = greedy_token(model, last.row(0));
         generated.push(t);
@@ -240,9 +227,24 @@ pub fn generate_reference(
             || Some(t) == eos
             || prompt.len() + generated.len() > model.config().max_seq;
         if done {
-            return GenerateResult { tokens: generated, hidden: last, stats: iter_stats };
+            return GenerateResult { tokens: generated, hidden: last, stats };
         }
     }
+}
+
+/// One decode pass: `tokens` at positions `history..`, through the
+/// model's layer step as a pack attending over `kv`'s history plus
+/// itself. Returns the last row's final hidden state.
+fn pass<E: Executor>(
+    model: &Model,
+    exec: &mut E,
+    kv: &mut impl KvSource<E>,
+    history: usize,
+    tokens: &[usize],
+) -> Matrix {
+    let pack = PackedBatch::after_history(history, tokens.len());
+    let x = model.embed(&pack, &[tokens]);
+    model.run_layers(exec, &pack, x, kv).slice_rows(tokens.len() - 1, 1)
 }
 
 /// Greedy next-token choice: tied-embedding logits (final hidden row
@@ -261,184 +263,51 @@ fn greedy_token(model: &Model, hidden: &[f32]) -> usize {
     best
 }
 
-fn kv_capture_names(layers: usize) -> impl Iterator<Item = String> {
-    (0..layers).flat_map(|li| [format!("L{li}.attn.k"), format!("L{li}.attn.v")])
-}
-
-/// Where a step's K/V history comes from: the quantized code cache
-/// (production) or float matrices (the reference oracle). Everything
-/// else in the step is shared, so a divergence is a cache bug.
-trait KvBacking {
-    /// Appends the step's freshly encoded K/V row and returns the full
-    /// `positions × hidden` K and V matrices to attend over.
-    fn extend(
-        &mut self,
-        ctx: &QuantizedContext,
-        li: usize,
-        exec: &mut QuantizedExecutor<'_>,
-        k: &Matrix,
-        v: &Matrix,
-    ) -> (Matrix, Matrix);
-}
-
+/// Production K/V history: each pass's captured K/V codes are appended
+/// to the quantized cache, and attention reads the whole cache decoded
+/// back through the tensors' decode tables.
 struct CodeBacked<'c> {
+    ctx: &'c QuantizedContext,
+    names: &'c [LayerNames],
     cache: &'c mut KvCache,
 }
 
-impl KvBacking for CodeBacked<'_> {
-    fn extend(
+impl KvSource<QuantizedExecutor<'_>> for CodeBacked<'_> {
+    fn keys_values(
         &mut self,
-        ctx: &QuantizedContext,
-        li: usize,
         exec: &mut QuantizedExecutor<'_>,
-        _k: &Matrix,
-        _v: &Matrix,
-    ) -> (Matrix, Matrix) {
-        let kc = exec.take_captured(&format!("L{li}.attn.k")).expect("captured K codes");
-        let vc = exec.take_captured(&format!("L{li}.attn.v")).expect("captured V codes");
-        self.cache.append(li, &kc, &vc);
-        let klut = decode_lut(ctx, li, 'k');
-        let vlut = decode_lut(ctx, li, 'v');
-        (self.cache.decode_k(li, &klut), self.cache.decode_v(li, &vlut))
-    }
-}
-
-fn decode_lut(ctx: &QuantizedContext, li: usize, which: char) -> DecodeLut {
-    ctx.act_decode.get(&format!("L{li}.attn.{which}")).copied().expect("K/V activation dictionary")
-}
-
-struct FloatBacked<'c> {
-    k: &'c mut Vec<Matrix>,
-    v: &'c mut Vec<Matrix>,
-}
-
-impl KvBacking for FloatBacked<'_> {
-    fn extend(
-        &mut self,
-        _ctx: &QuantizedContext,
         li: usize,
-        _exec: &mut QuantizedExecutor<'_>,
-        k: &Matrix,
-        v: &Matrix,
+        _k: Matrix,
+        _v: Matrix,
     ) -> (Matrix, Matrix) {
-        self.k[li] = push_row(&self.k[li], k);
-        self.v[li] = push_row(&self.v[li], v);
-        (self.k[li].clone(), self.v[li].clone())
+        let n = &self.names[li];
+        let kc = exec.take_captured(&n.k).expect("captured K codes");
+        let vc = exec.take_captured(&n.v).expect("captured V codes");
+        self.cache.append(li, &kc, &vc);
+        let lut = |name: &str| self.ctx.act_decode.get(name).copied().expect("K/V dictionary");
+        (self.cache.decode_k(li, &lut(&n.k)), self.cache.decode_v(li, &lut(&n.v)))
     }
 }
 
-fn push_row(m: &Matrix, row: &Matrix) -> Matrix {
-    if m.rows() == 0 {
-        return row.clone();
-    }
-    let mut out = Matrix::zeros(m.rows() + 1, m.cols());
-    for r in 0..m.rows() {
-        out.row_mut(r).copy_from_slice(m.row(r));
-    }
-    out.row_mut(m.rows()).copy_from_slice(row.row(0));
-    out
-}
-
-/// One incremental layer-stack pass for a single embedded row, mirroring
-/// [`Model::forward_embedded`]'s exact hook and kernel sequence at
-/// `seq = 1`, with attention running over the KV history plus the new
-/// row.
-fn step_hidden(
-    model: &Model,
-    ctx: &QuantizedContext,
-    exec: &mut QuantizedExecutor<'_>,
-    kv: &mut dyn KvBacking,
-    mut x: Matrix,
-) -> Matrix {
-    let heads = model.config().heads;
-    let dh = model.config().head_dim();
-    let hidden = model.config().hidden;
-    for (li, layer) in model.layers.iter().enumerate() {
-        let pre = format!("L{li}");
-        // --- Attention (causal over cache + self) ---
-        let input = exec.activation(&format!("{pre}.attn.input"), x);
-        let q = model.linear(exec, &format!("{pre}.attn.wq"), &input, &layer.wq, &layer.bq);
-        let k = model.linear(exec, &format!("{pre}.attn.wk"), &input, &layer.wk, &layer.bk);
-        let v = model.linear(exec, &format!("{pre}.attn.wv"), &input, &layer.wv, &layer.bv);
-        let q = exec.activation(&format!("{pre}.attn.q"), q);
-        let k = exec.activation(&format!("{pre}.attn.k"), k);
-        let v = exec.activation(&format!("{pre}.attn.v"), v);
-        let (k_all, v_all) = kv.extend(ctx, li, exec, &k, &v);
-
-        let len = k_all.rows();
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut all_probs = Matrix::zeros(heads, len);
-        for hd in 0..heads {
-            let qh = q.slice_cols(hd * dh, dh);
-            let kh = k_all.slice_cols(hd * dh, dh);
-            // Activation × activation GEMM #1: q·K^T over the history.
-            let mut scores = qh.matmul_transposed(&kh).scale(scale);
-            nn::softmax_rows(&mut scores);
-            all_probs.row_mut(hd).copy_from_slice(scores.row(0));
-        }
-        let probs = exec.activation(&format!("{pre}.attn.probs"), all_probs);
-        let mut context = Matrix::zeros(1, hidden);
-        for hd in 0..heads {
-            let vh = v_all.slice_cols(hd * dh, dh);
-            let p = probs.slice_rows(hd, 1);
-            // Activation × activation GEMM #2: p·V over the history.
-            let ctx_h = p.matmul(&vh);
-            context.row_mut(0)[hd * dh..(hd + 1) * dh].copy_from_slice(ctx_h.row(0));
-        }
-        let context = exec.activation(&format!("{pre}.attn.context"), context);
-        let attn_out =
-            model.linear(exec, &format!("{pre}.attn.wo"), &context, &layer.wo, &layer.bo);
-        let mut x1 = attn_out.add(&input);
-        nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
-
-        // --- Feed-forward ---
-        let ffn_in = exec.activation(&format!("{pre}.ffn.input"), x1);
-        let mut mid = model.linear(exec, &format!("{pre}.ffn.w1"), &ffn_in, &layer.w1, &layer.b1);
-        nn::gelu_inplace(&mut mid);
-        let mid = exec.activation(&format!("{pre}.ffn.mid"), mid);
-        let ffn_out = model.linear(exec, &format!("{pre}.ffn.w2"), &mid, &layer.w2, &layer.b2);
-        let mut x2 = ffn_out.add(&ffn_in);
-        nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
-        x = x2;
-    }
-    x
-}
-
-/// Wraps a [`QuantizedExecutor`], recording the float K/V matrices the
-/// hooks emit during a prefill forward — the reference oracle's
-/// cache-free K/V source.
-struct KvRecorder<'a, 'b> {
-    inner: &'b mut QuantizedExecutor<'a>,
+/// The reference oracle's K/V history: the hooks' float K/V rows,
+/// appended per pass, never touching codes.
+struct FloatBacked {
     k: Vec<Matrix>,
     v: Vec<Matrix>,
 }
 
-fn layer_of(name: &str, suffix: &str) -> Option<usize> {
-    name.strip_suffix(suffix)?.strip_prefix('L')?.parse().ok()
+impl<E: ?Sized> KvSource<E> for FloatBacked {
+    fn keys_values(&mut self, _: &mut E, li: usize, k: Matrix, v: Matrix) -> (Matrix, Matrix) {
+        self.k[li] = push_rows(&self.k[li], &k);
+        self.v[li] = push_rows(&self.v[li], &v);
+        (self.k[li].clone(), self.v[li].clone())
+    }
 }
 
-impl Executor for KvRecorder<'_, '_> {
-    fn activation(&mut self, name: &str, m: Matrix) -> Matrix {
-        let out = self.inner.activation(name, m);
-        if let Some(li) = layer_of(name, ".attn.k") {
-            self.k[li] = out.clone();
-        } else if let Some(li) = layer_of(name, ".attn.v") {
-            self.v[li] = out.clone();
-        }
-        out
-    }
-
-    fn weight_override(&self, name: &str) -> Option<&Matrix> {
-        self.inner.weight_override(name)
-    }
-
-    fn gemm_output(&mut self, name: &str, m: Matrix) -> Matrix {
-        self.inner.gemm_output(name, m)
-    }
-
-    fn linear(&mut self, weight_name: &str, x: &Matrix, w: &Matrix, b: &[f32]) -> Option<Matrix> {
-        self.inner.linear(weight_name, x, w, b)
-    }
+fn push_rows(m: &Matrix, rows: &Matrix) -> Matrix {
+    let mut data = m.as_slice().to_vec();
+    data.extend_from_slice(rows.as_slice());
+    Matrix::from_vec(m.rows() + rows.rows(), rows.cols(), data)
 }
 
 #[cfg(test)]

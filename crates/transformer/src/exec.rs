@@ -1,7 +1,11 @@
-//! Execution hooks: one forward-pass implementation, three behaviours.
+//! Execution hooks: one layer step, three behaviours.
 //!
-//! [`Model::forward`](crate::Model::forward) routes every activation
-//! tensor, weight lookup, and GEMM output through an [`Executor`]:
+//! Every transformer pass — a solo request (a pack of one), a packed
+//! batch ([`Model::forward_packed`](crate::Model::forward_packed)), and a
+//! decode step ([`crate::decode`], a pack of one query row against the
+//! cached key history) — runs the same private layer step, which routes
+//! every activation tensor, weight lookup, and GEMM output through an
+//! [`Executor`]'s layout-aware hooks:
 //!
 //! * [`FpExecutor`] — identity hooks: the FP32 reference path.
 //! * [`ProfilingExecutor`] — observes activations and GEMM output ranges
@@ -24,12 +28,13 @@ use mokey_tensor::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Hooks invoked by the shared forward-pass implementation.
+/// Hooks invoked by the shared layer step.
 ///
 /// All methods default to the identity, so the FP path costs nothing.
-/// The `*_packed` variants receive a [`PackedLayout`] mapping matrix
-/// regions to requests; they default to the un-packed hooks, which is
-/// correct for any executor that neither skips padding nor attributes
+/// The model calls only the `*_packed` variants and
+/// [`Executor::weight_override`]; they receive a [`PackedLayout`] mapping
+/// matrix regions to requests and default to the un-packed hooks, which
+/// is correct for any executor that neither skips padding nor attributes
 /// work per request (identity and profiling executors).
 pub trait Executor {
     /// Observes/transforms a named activation tensor before it feeds a
@@ -62,7 +67,7 @@ pub trait Executor {
     /// Optionally computes a fused GEMM + bias itself, replacing the
     /// float `x·W + b` entirely (the index-domain LUT path). Returning
     /// `None` keeps the default float GEMM; either way the result is
-    /// still routed through [`Executor::gemm_output`].
+    /// still routed through the output hook.
     fn linear(
         &mut self,
         _weight_name: &str,
@@ -215,8 +220,8 @@ pub struct PackStats {
     pub packed_batches: usize,
     /// Requests served inside packed groups.
     pub packed_requests: usize,
-    /// Requests that fell back to the per-request loop (singletons and
-    /// degenerate sequences).
+    /// Requests that ran alone: a group of one, executed as a pack of
+    /// one.
     pub solo_requests: usize,
     /// Padding rows carried by the packs.
     pub pad_rows: usize,
@@ -298,14 +303,19 @@ impl QuantizedContext {
     /// Runs a coalesced batch of requests — the serving engine's batched
     /// path. Requests are grouped by sequence length (shorter requests
     /// may join a longer group while padding stays within
-    /// `PACK_WASTE_LIMIT` (25% per request); each group of two or more runs through the
-    /// packed tensor-level forward pass ([`Model::infer_packed`]), so
+    /// `PACK_WASTE_LIMIT` (25% per request); each group runs through the
+    /// packed tensor-level forward pass ([`Model::forward_packed`]), so
     /// every projection/FFN GEMM executes once per group instead of once
-    /// per sequence. Singletons fall back to the per-request loop.
+    /// per sequence. A group of one is a pack of one, counted as a solo
+    /// request.
     ///
     /// Outputs **and per-request counters** are bit-identical to running
     /// each request alone, regardless of grouping — the layout-aware
     /// executor hooks encode exactly the elements a solo run would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request is empty (see [`PackedBatch::new`]).
     pub fn infer_batch(&self, model: &Model, batch: &[Vec<usize>]) -> BatchRun {
         self.infer_batch_mode(model, batch, ExecMode::Decoded)
     }
@@ -333,39 +343,31 @@ impl QuantizedContext {
             let mut end = start + 1;
             while end < order.len() {
                 let pad = max_len - batch[order[end]].len();
-                if batch[order[end]].is_empty() || pad as f64 > PACK_WASTE_LIMIT * max_len as f64 {
+                if pad as f64 > PACK_WASTE_LIMIT * max_len as f64 {
                     break;
                 }
                 end += 1;
             }
             let group = &order[start..end];
-            if group.len() >= 2 && max_len > 0 {
-                let refs: Vec<&[usize]> = group.iter().map(|&i| batch[i].as_slice()).collect();
-                // The accounted plan IS the executed plan: one
-                // `PackedBatch` drives both the metrics and the forward
-                // pass.
-                let pack = PackedBatch::new(&refs);
+            let refs: Vec<&[usize]> = group.iter().map(|&i| batch[i].as_slice()).collect();
+            // The accounted plan IS the executed plan: one `PackedBatch`
+            // drives both the metrics and the forward pass.
+            let pack = PackedBatch::new(&refs);
+            if group.len() >= 2 {
                 packing.packed_batches += 1;
                 packing.packed_requests += pack.requests();
                 packing.packed_rows += pack.total_rows();
                 packing.pad_rows += pack.pad_rows();
-                let (outs, exec_stats) = self.infer_packed_planned(model, &pack, &refs, mode);
-                // The executor's own counters carry the kernel attribution
-                // the per-request entries don't (their activation counters
-                // sum to the same values).
-                total.merge(&exec_stats);
-                for (&i, pair) in group.iter().zip(outs) {
-                    results[i] = Some(pair);
-                }
             } else {
-                for &i in group {
-                    let mut exec = QuantizedExecutor::with_mode(self, mode);
-                    let out = model.infer(&mut exec, &batch[i]);
-                    let stats = exec.stats();
-                    total.merge(&stats);
-                    packing.solo_requests += 1;
-                    results[i] = Some((out, stats));
-                }
+                packing.solo_requests += 1;
+            }
+            let (outs, exec_stats) = self.infer_packed_planned(model, &pack, &refs, mode);
+            // The executor's own counters carry the kernel attribution the
+            // per-request entries don't (their activation counters sum to
+            // the same values).
+            total.merge(&exec_stats);
+            for (&i, pair) in group.iter().zip(outs) {
+                results[i] = Some(pair);
             }
             start = end;
         }
@@ -530,8 +532,6 @@ pub struct QuantizedExecutor<'a> {
     capture_names: BTreeSet<String>,
     /// Harvested codes, drained via [`QuantizedExecutor::take_captured`].
     captured: BTreeMap<String, CapturedCodes>,
-    /// GEMMs actually served from a pair-LUT (diagnostics/tests).
-    lut_gemms: usize,
     /// Cached kernel choice per GEMM shape `(m, k, n)`: the heuristic is
     /// decided once per shape per executor instead of re-derived on every
     /// call (the executor's `mode` is fixed, so shape alone keys it).
@@ -554,16 +554,16 @@ impl<'a> QuantizedExecutor<'a> {
             act_codes: BTreeMap::new(),
             capture_names: BTreeSet::new(),
             captured: BTreeMap::new(),
-            lut_gemms: 0,
             kernel_choice: BTreeMap::new(),
         }
     }
 
     /// Asks the encoding hook to harvest the codes of the named
-    /// activation tensors (in either [`ExecMode`]). Each forward pass
-    /// overwrites a name's previous capture; drain with
+    /// activation tensors (in either [`ExecMode`]). Each pass overwrites a
+    /// name's previous capture; drain with
     /// [`QuantizedExecutor::take_captured`]. Names without an activation
-    /// dictionary are never captured (the hook doesn't encode them).
+    /// dictionary are never captured (the hook doesn't encode them), and
+    /// padding rows of a packed tensor hold [`SKIP_CODE`].
     pub fn capture(&mut self, names: impl IntoIterator<Item = String>) {
         self.capture_names.extend(names);
     }
@@ -579,20 +579,15 @@ impl<'a> QuantizedExecutor<'a> {
         self.stats
     }
 
-    /// How many GEMMs this executor served from pair-LUTs (always zero
-    /// in decoded mode).
-    pub fn lut_gemms(&self) -> usize {
-        self.lut_gemms
-    }
-
     /// Whether this activation's codes must be retained for a following
     /// index-domain GEMM.
     fn retains(&self, name: &str) -> bool {
         self.mode == ExecMode::IndexDomain && self.ctx.encoded_acts.contains(name)
     }
 
-    /// Drains the per-request counters a packed forward pass accumulated
-    /// (one entry per request that encoded at least one value).
+    /// Drains the per-request counters the encoding hook accumulated (one
+    /// entry per request that encoded at least one value; an un-packed
+    /// [`Executor::activation`] call counts as request 0).
     pub fn take_per_request(&mut self) -> Vec<QuantizedStats> {
         std::mem::take(&mut self.per_request)
     }
@@ -607,35 +602,8 @@ impl<'a> QuantizedExecutor<'a> {
 
 impl Executor for QuantizedExecutor<'_> {
     fn activation(&mut self, name: &str, m: Matrix) -> Matrix {
-        let Some(dict) = self.ctx.act_dicts.get(name) else {
-            return m;
-        };
-        let decode = self.ctx.act_decode.get(name).copied().unwrap_or_else(|| DecodeLut::new(dict));
-        let retain = self.retains(name);
-        let capture = self.capture_names.contains(name);
-        let keep = retain || capture;
-        let (rows, cols) = (m.rows(), m.cols());
-        let mut bits = if keep { Vec::with_capacity(rows * cols) } else { Vec::new() };
-        let mut out = m;
-        for v in out.as_mut_slice() {
-            let code = dict.encode_value(*v);
-            self.stats.act_values += 1;
-            if code.is_outlier() {
-                self.stats.act_outliers += 1;
-            }
-            if keep {
-                bits.push(code.to_bits());
-            }
-            *v = decode.value(code);
-        }
-        if capture {
-            let harvest = if retain { bits.clone() } else { std::mem::take(&mut bits) };
-            self.captured.insert(name.to_string(), CapturedCodes { bits: harvest, rows, cols });
-        }
-        if retain {
-            self.act_codes.insert(name.to_string(), ActCodes { bits, rows, cols });
-        }
-        out
+        let layout = PackedLayout::whole(m.rows());
+        self.activation_packed(name, m, &layout)
     }
 
     fn weight_override(&self, name: &str) -> Option<&Matrix> {
@@ -643,33 +611,31 @@ impl Executor for QuantizedExecutor<'_> {
     }
 
     fn gemm_output(&mut self, name: &str, m: Matrix) -> Matrix {
-        let Some(fmt) = self.ctx.out_formats.get(name) else {
-            return m;
-        };
-        let frac = fmt.frac_bits();
-        let mut out = m;
-        for v in out.as_mut_slice() {
-            *v = snap_to_grid(f64::from(*v), frac) as f32;
-        }
-        out
+        let layout = PackedLayout::whole(m.rows());
+        self.gemm_output_packed(name, m, &layout)
     }
 
-    /// Layout-aware activation encoding: only each request's valid region
-    /// is encoded (padding rows pass through raw, and the masked zero
-    /// probabilities beyond a request's true length stay exactly `0.0` so
-    /// the zero-skipping GEMM kernels drop them), and counters are
-    /// attributed to the owning request. Per-element results are exactly
-    /// what [`Executor::activation`] produces in a solo run.
+    /// Layout-aware activation encoding — the one encode loop. Only each
+    /// request's valid region is encoded (padding rows pass through raw,
+    /// and the masked zero probabilities beyond a request's key length
+    /// stay exactly `0.0` so the zero-skipping GEMM kernels drop them),
+    /// and counters are attributed to the owning request. Per-element
+    /// results are exactly what a solo run produces. The codes are kept
+    /// when a following index-domain GEMM needs them or the caller asked
+    /// to [`capture`](QuantizedExecutor::capture) the tensor; padding
+    /// positions hold [`SKIP_CODE`].
     fn activation_packed(&mut self, name: &str, m: Matrix, layout: &PackedLayout) -> Matrix {
         let Some(dict) = self.ctx.act_dicts.get(name) else {
             return m;
         };
         let decode = self.ctx.act_decode.get(name).copied().unwrap_or_else(|| DecodeLut::new(dict));
         let retain = self.retains(name);
+        let capture = self.capture_names.contains(name);
+        let keep = retain || capture;
         let (rows, width) = (m.rows(), m.cols());
         // Padding rows are never encoded; the skip sentinel tells the LUT
         // kernel to emit their bias rows without decoding anything.
-        let mut bits = if retain { vec![SKIP_CODE; rows * width] } else { Vec::new() };
+        let mut bits = if keep { vec![SKIP_CODE; rows * width] } else { Vec::new() };
         let mut out = m;
         let mut deltas = vec![QuantizedStats::default(); layout.regions.len()];
         for (region, delta) in layout.regions.iter().zip(&mut deltas) {
@@ -683,7 +649,7 @@ impl Executor for QuantizedExecutor<'_> {
                         if code.is_outlier() {
                             delta.act_outliers += 1;
                         }
-                        if retain {
+                        if keep {
                             bits[row_base + ci] = code.to_bits();
                         }
                         *v = decode.value(code);
@@ -697,15 +663,20 @@ impl Executor for QuantizedExecutor<'_> {
         for delta in &deltas {
             self.stats.merge(delta);
         }
+        if capture {
+            let harvest = if retain { bits.clone() } else { std::mem::take(&mut bits) };
+            self.captured
+                .insert(name.to_string(), CapturedCodes { bits: harvest, rows, cols: width });
+        }
         if retain {
             self.act_codes.insert(name.to_string(), ActCodes { bits, rows, cols: width });
         }
         out
     }
 
-    /// Layout-aware output snapping: valid regions snap to the Eq. 7
-    /// grid exactly as in solo execution; padding rows are left raw
-    /// (nothing reads them).
+    /// Layout-aware output snapping — the one snap loop: valid regions
+    /// snap to the Eq. 7 grid exactly as in solo execution; padding rows
+    /// are left raw (nothing reads them).
     fn gemm_output_packed(&mut self, name: &str, m: Matrix, layout: &PackedLayout) -> Matrix {
         let Some(fmt) = self.ctx.out_formats.get(name) else {
             return m;
@@ -746,7 +717,6 @@ impl Executor for QuantizedExecutor<'_> {
         if stored.rows != x.rows() || stored.cols != x.cols() || k != x.cols() || b.len() != n {
             return None;
         }
-        self.lut_gemms += 1;
         let kernel = *self.kernel_choice.entry((stored.rows, k, n)).or_insert(
             if stored.rows >= COUNTER_MIN_ROWS {
                 LutKernel::CounterArray
@@ -933,14 +903,13 @@ mod tests {
         let hidden = model.forward(&mut exec, &tokens);
         let out = model.apply_head(&mut exec, &hidden);
         // Every retained GEMM ran on codes — nothing fell back.
-        assert_eq!(exec.lut_gemms(), 2 * 6 + 2);
+        let stats = exec.stats();
+        assert_eq!(stats.counter_array_gemms + stats.pair_lut_gemms, 2 * 6 + 2);
         // Kernel attribution: the 11-row layer GEMMs take the counter-array
         // panel kernel, the one-row head GEMMs take the pair-LUT row
-        // kernel, and together they account for every LUT GEMM.
-        let stats = exec.stats();
+        // kernel.
         assert_eq!(stats.counter_array_gemms, 2 * 6);
         assert_eq!(stats.pair_lut_gemms, 2);
-        assert_eq!(stats.counter_array_gemms + stats.pair_lut_gemms, exec.lut_gemms());
         let (decoded_out, decoded_stats) = qm.infer(&tokens);
         assert_eq!(out, decoded_out);
         assert_eq!(exec.stats(), decoded_stats);
@@ -1011,8 +980,33 @@ mod tests {
         let mut exec = QuantizedExecutor::with_mode(qm.context(), ExecMode::IndexDomain);
         let hidden = model.forward(&mut exec, &tokens);
         let out = model.apply_head(&mut exec, &hidden);
-        assert_eq!(exec.lut_gemms(), 0);
+        let stats = exec.stats();
+        assert_eq!(stats.counter_array_gemms + stats.pair_lut_gemms, 0);
         assert_eq!(out, qm.infer(&tokens).0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack an empty sequence")]
+    fn empty_request_in_a_batch_panics() {
+        use crate::config::ModelConfig;
+        use crate::model::Head;
+        use crate::quantize::QuantizedModel;
+        use crate::QuantizeSpec;
+
+        let config = ModelConfig {
+            name: "exec-empty".into(),
+            layers: 1,
+            hidden: 32,
+            heads: 2,
+            ff: 64,
+            vocab: 200,
+            max_seq: 16,
+        };
+        let model = Model::synthesize(&config, Head::Span, 6);
+        let (qm, _) = QuantizedModel::prepare(&model, QuantizeSpec::weights_only(), &[]);
+        // The empty request is a group of its own; it cannot be packed.
+        let batch = vec![model.random_tokens(8, 1), Vec::new()];
+        let _ = qm.context().infer_batch(&model, &batch);
     }
 
     #[test]

@@ -96,6 +96,68 @@ pub struct Model {
     /// Head projection: `hidden × classes`, `hidden × 1`, or `hidden × 2`.
     pub head_w: Matrix,
     head_b: Vec<f32>,
+    /// Tensor names of every encoder layer, in layer order.
+    names: Vec<LayerNames>,
+}
+
+/// The activation and weight tensor names of one encoder layer
+/// (`L{li}.attn.input`, `L{li}.attn.wq`, …), built once per model so the
+/// layer step never formats a name.
+#[derive(Debug, Clone)]
+pub(crate) struct LayerNames {
+    pub(crate) attn_input: String,
+    pub(crate) wq: String,
+    pub(crate) wk: String,
+    pub(crate) wv: String,
+    pub(crate) q: String,
+    pub(crate) k: String,
+    pub(crate) v: String,
+    pub(crate) probs: String,
+    pub(crate) context: String,
+    pub(crate) wo: String,
+    pub(crate) ffn_input: String,
+    pub(crate) w1: String,
+    pub(crate) mid: String,
+    pub(crate) w2: String,
+}
+
+impl LayerNames {
+    fn new(li: usize) -> Self {
+        let name = |op: &str| format!("L{li}.{op}");
+        Self {
+            attn_input: name("attn.input"),
+            wq: name("attn.wq"),
+            wk: name("attn.wk"),
+            wv: name("attn.wv"),
+            q: name("attn.q"),
+            k: name("attn.k"),
+            v: name("attn.v"),
+            probs: name("attn.probs"),
+            context: name("attn.context"),
+            wo: name("attn.wo"),
+            ffn_input: name("ffn.input"),
+            w1: name("ffn.w1"),
+            mid: name("ffn.mid"),
+            w2: name("ffn.w2"),
+        }
+    }
+}
+
+/// What a layer step's attention reads as keys and values.
+pub(crate) trait KvSource<E: ?Sized> {
+    /// Takes layer `li`'s freshly encoded K and V rows and returns the K
+    /// and V matrices the pack's queries attend over, laid out in
+    /// [`PackedBatch::key_seq`]-row blocks.
+    fn keys_values(&mut self, exec: &mut E, li: usize, k: Matrix, v: Matrix) -> (Matrix, Matrix);
+}
+
+/// Attention over the pack's own rows: every forward pass.
+struct OwnRows;
+
+impl<E: ?Sized> KvSource<E> for OwnRows {
+    fn keys_values(&mut self, _: &mut E, _: usize, k: Matrix, v: Matrix) -> (Matrix, Matrix) {
+        (k, v)
+    }
 }
 
 fn vec_normal(n: usize, mean: f64, std: f64, rng: &mut StdRng) -> Vec<f32> {
@@ -164,6 +226,7 @@ impl Model {
             head_w: GaussianMixture::weight_like(0.0, 0.3)
                 .sample_matrix_with(h, head_cols, &mut rng),
             head_b: vec_normal(head_cols, 0.0, 0.02, &mut rng),
+            names: (0..config.layers).map(LayerNames::new).collect(),
         }
     }
 
@@ -177,170 +240,29 @@ impl Model {
         self.head
     }
 
-    /// Embeds a token sequence (token + position embeddings, layer norm).
+    /// Embeds a packed batch (token + position embeddings, layer norm):
+    /// request `i` occupies rows `[i·S, i·S + len_i)` of a
+    /// `(B·S) × hidden` matrix (`S` = longest sequence), its first token at
+    /// position [`PackedBatch::first_position`]. Padding rows stay zero —
+    /// layer norm turns them into harmless constants and nothing ever
+    /// reads them back.
     ///
     /// # Panics
     ///
-    /// Panics if a token id is out of vocabulary or the sequence exceeds
-    /// `max_seq`.
-    pub fn embed(&self, tokens: &[usize]) -> Matrix {
-        assert!(tokens.len() <= self.config.max_seq, "sequence too long");
-        let h = self.config.hidden;
-        let mut x = Matrix::zeros(tokens.len(), h);
-        for (i, &t) in tokens.iter().enumerate() {
-            assert!(t < self.config.vocab, "token {t} out of vocabulary");
-            let emb = self.token_embedding.row(t);
-            let pos = self.position_embedding.row(i);
-            let row = x.row_mut(i);
-            for j in 0..h {
-                row[j] = emb[j] + pos[j];
-            }
-        }
-        nn::layer_norm(&mut x, &self.emb_ln_gamma, &self.emb_ln_beta, 1e-6);
-        x
-    }
-
-    /// Embeds one token at an absolute position as a `1 × hidden` row.
-    /// Layer norm is per-row, so this is bit-identical to the matching
-    /// row of [`Model::embed`] — the incremental decode path's embedding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token is out of vocabulary or the position is at or
-    /// beyond `max_seq`.
-    pub fn embed_one(&self, token: usize, pos: usize) -> Matrix {
-        assert!(pos < self.config.max_seq, "position {pos} beyond max_seq");
-        assert!(token < self.config.vocab, "token {token} out of vocabulary");
-        let h = self.config.hidden;
-        let mut x = Matrix::zeros(1, h);
-        let emb = self.token_embedding.row(token);
-        let pe = self.position_embedding.row(pos);
-        let row = x.row_mut(0);
-        for j in 0..h {
-            row[j] = emb[j] + pe[j];
-        }
-        nn::layer_norm(&mut x, &self.emb_ln_gamma, &self.emb_ln_beta, 1e-6);
-        x
-    }
-
-    /// Full forward pass through the encoder stack, with every GEMM input,
-    /// GEMM output, and weight routed through the [`Executor`] hooks.
-    /// Returns the final hidden states (`seq × hidden`).
-    pub fn forward(&self, exec: &mut dyn Executor, tokens: &[usize]) -> Matrix {
-        let x = self.embed(tokens);
-        self.forward_embedded(exec, x)
-    }
-
-    /// Forward pass from pre-embedded inputs.
-    pub fn forward_embedded(&self, exec: &mut dyn Executor, mut x: Matrix) -> Matrix {
-        let heads = self.config.heads;
-        let dh = self.config.head_dim();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pre = format!("L{li}");
-            // --- Attention ---
-            let input = exec.activation(&format!("{pre}.attn.input"), x.clone());
-            let q = self.linear(exec, &format!("{pre}.attn.wq"), &input, &layer.wq, &layer.bq);
-            let k = self.linear(exec, &format!("{pre}.attn.wk"), &input, &layer.wk, &layer.bk);
-            let v = self.linear(exec, &format!("{pre}.attn.wv"), &input, &layer.wv, &layer.bv);
-            let q = exec.activation(&format!("{pre}.attn.q"), q);
-            let k = exec.activation(&format!("{pre}.attn.k"), k);
-            let v = exec.activation(&format!("{pre}.attn.v"), v);
-
-            let seq = x.rows();
-            let mut context = Matrix::zeros(seq, self.config.hidden);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let mut all_probs = Matrix::zeros(seq * heads, seq);
-            for hd in 0..heads {
-                let qh = q.slice_cols(hd * dh, dh);
-                let kh = k.slice_cols(hd * dh, dh);
-                // Activation × activation GEMM #1: Q·K^T.
-                let mut scores = qh.matmul_transposed(&kh).scale(scale);
-                nn::softmax_rows(&mut scores);
-                for r in 0..seq {
-                    all_probs.row_mut(hd * seq + r).copy_from_slice(scores.row(r));
-                }
-            }
-            let probs = exec.activation(&format!("{pre}.attn.probs"), all_probs);
-            for hd in 0..heads {
-                let vh = v.slice_cols(hd * dh, dh);
-                let scores = probs.slice_rows(hd * seq, seq);
-                // Activation × activation GEMM #2: P·V.
-                let ctx_h = scores.matmul(&vh);
-                for r in 0..seq {
-                    context.row_mut(r)[hd * dh..(hd + 1) * dh].copy_from_slice(ctx_h.row(r));
-                }
-            }
-            let context = exec.activation(&format!("{pre}.attn.context"), context);
-            let attn_out =
-                self.linear(exec, &format!("{pre}.attn.wo"), &context, &layer.wo, &layer.bo);
-            let mut x1 = attn_out.add(&input);
-            nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
-
-            // --- Feed-forward ---
-            let ffn_in = exec.activation(&format!("{pre}.ffn.input"), x1);
-            let mut mid =
-                self.linear(exec, &format!("{pre}.ffn.w1"), &ffn_in, &layer.w1, &layer.b1);
-            nn::gelu_inplace(&mut mid);
-            let mid = exec.activation(&format!("{pre}.ffn.mid"), mid);
-            let ffn_out = self.linear(exec, &format!("{pre}.ffn.w2"), &mid, &layer.w2, &layer.b2);
-            let mut x2 = ffn_out.add(&ffn_in);
-            nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
-            x = x2;
-        }
-        x
-    }
-
-    /// Applies the task head to final hidden states.
-    pub fn apply_head(&self, exec: &mut dyn Executor, hidden: &Matrix) -> TaskOutput {
-        match self.head {
-            Head::Classification { .. } | Head::Regression => {
-                let cls = hidden.slice_rows(0, 1);
-                let cls = exec.activation("head.cls", cls);
-                let mut pooled =
-                    self.linear(exec, "head.pooler", &cls, &self.pooler_w, &self.pooler_b);
-                nn::tanh_inplace(&mut pooled);
-                let pooled = exec.activation("head.pooled", pooled);
-                let logits = self.linear(exec, "head.proj", &pooled, &self.head_w, &self.head_b);
-                match self.head {
-                    Head::Classification { .. } => TaskOutput::Logits(logits.row(0).to_vec()),
-                    _ => TaskOutput::Score(logits[(0, 0)]),
-                }
-            }
-            Head::Span => {
-                let hs = exec.activation("head.span_input", hidden.clone());
-                let logits = self.linear(exec, "head.proj", &hs, &self.head_w, &self.head_b);
-                TaskOutput::Span(logits.col(0), logits.col(1))
-            }
-        }
-    }
-
-    /// Convenience: forward + head in one call.
-    pub fn infer(&self, exec: &mut dyn Executor, tokens: &[usize]) -> TaskOutput {
-        let hidden = self.forward(exec, tokens);
-        self.apply_head(exec, &hidden)
-    }
-
-    /// Embeds a packed batch: request `i` occupies rows
-    /// `[i·S, i·S + len_i)` of a `(B·S) × hidden` matrix (`S` = longest
-    /// sequence). Padding rows stay zero — layer norm turns them into
-    /// harmless constants and nothing ever reads them back.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-vocabulary tokens, over-long sequences, or a
-    /// batch that does not match `pack`.
-    pub fn embed_packed(&self, pack: &PackedBatch, batch: &[&[usize]]) -> Matrix {
+    /// Panics on out-of-vocabulary tokens, positions at or beyond
+    /// `max_seq`, or a batch that does not match `pack`.
+    pub fn embed(&self, pack: &PackedBatch, batch: &[&[usize]]) -> Matrix {
         assert_eq!(batch.len(), pack.requests(), "batch does not match pack");
-        assert!(pack.seq() <= self.config.max_seq, "sequence too long");
         let h = self.config.hidden;
         let mut x = Matrix::zeros(pack.total_rows(), h);
         for (bi, tokens) in batch.iter().enumerate() {
             assert_eq!(tokens.len(), pack.len_of(bi), "batch does not match pack");
-            let base = pack.row_of(bi);
+            let (base, first) = (pack.row_of(bi), pack.first_position(bi));
+            assert!(first + tokens.len() <= self.config.max_seq, "sequence too long");
             for (i, &t) in tokens.iter().enumerate() {
                 assert!(t < self.config.vocab, "token {t} out of vocabulary");
                 let emb = self.token_embedding.row(t);
-                let pos = self.position_embedding.row(i);
+                let pos = self.position_embedding.row(first + i);
                 let row = x.row_mut(base + i);
                 for j in 0..h {
                     row[j] = emb[j] + pos[j];
@@ -351,109 +273,114 @@ impl Model {
         x
     }
 
+    /// Full forward pass through the encoder stack for one sequence — a
+    /// pack of one through [`Model::forward_packed`]. Returns the final
+    /// hidden states (`seq × hidden`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sequence (see [`PackedBatch::new`]).
+    pub fn forward(&self, exec: &mut dyn Executor, tokens: &[usize]) -> Matrix {
+        self.forward_packed(exec, &PackedBatch::new(&[tokens]), &[tokens])
+    }
+
+    /// Applies the task head to one sequence's final hidden states.
+    pub fn apply_head(&self, exec: &mut dyn Executor, hidden: &Matrix) -> TaskOutput {
+        let pack = PackedBatch::from_lens(vec![hidden.rows()]);
+        self.apply_head_packed(exec, hidden, &pack).remove(0)
+    }
+
+    /// Convenience: forward + head in one call.
+    pub fn infer(&self, exec: &mut dyn Executor, tokens: &[usize]) -> TaskOutput {
+        self.infer_packed(exec, &[tokens]).remove(0)
+    }
+
     /// Packed forward pass: one `(B·S) × hidden` activation matrix runs
-    /// every projection and FFN GEMM once per **batch**, and attention
-    /// runs block-diagonal **fused** — one region-strided kernel
-    /// invocation per layer per stage (Q·K^T with the padding mask,
+    /// every projection and FFN GEMM once per **batch**, with every GEMM
+    /// input, GEMM output and weight routed through the [`Executor`]
+    /// hooks. Attention runs block-diagonal **fused** — one region-strided
+    /// kernel invocation per layer per stage (Q·K^T with the padding mask,
     /// softmax, P·V) instead of per sequence. Padded key positions are
     /// driven to `−∞` before the softmax, so masked probabilities are
     /// exactly `0.0` and padded value rows contribute nothing. Each
-    /// request's valid rows are bit-identical to its solo
-    /// [`Model::forward`] (see the [`packed`](crate::packed) module docs
-    /// for why).
+    /// request's valid rows are bit-identical to running it alone (see the
+    /// [`packed`](crate::packed) module docs for why).
     pub fn forward_packed(
         &self,
         exec: &mut dyn Executor,
         pack: &PackedBatch,
         batch: &[&[usize]],
     ) -> Matrix {
-        let heads = self.config.heads;
-        let dh = self.config.head_dim();
-        let rows_layout = pack.rows_layout();
-        let probs_layout = pack.probs_layout(heads);
-        let mut x = self.embed_packed(pack, batch);
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pre = format!("L{li}");
-            // --- Attention ---
-            let input = exec.activation_packed(&format!("{pre}.attn.input"), x, &rows_layout);
-            let q = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wq"),
-                &input,
-                &layer.wq,
-                &layer.bq,
-                &rows_layout,
-            );
-            let k = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wk"),
-                &input,
-                &layer.wk,
-                &layer.bk,
-                &rows_layout,
-            );
-            let v = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wv"),
-                &input,
-                &layer.wv,
-                &layer.bv,
-                &rows_layout,
-            );
-            let q = exec.activation_packed(&format!("{pre}.attn.q"), q, &rows_layout);
-            let k = exec.activation_packed(&format!("{pre}.attn.k"), k, &rows_layout);
-            let v = exec.activation_packed(&format!("{pre}.attn.v"), v, &rows_layout);
+        let x = self.embed(pack, batch);
+        self.run_layers(exec, pack, x, &mut OwnRows)
+    }
 
-            let scale = 1.0 / (dh as f32).sqrt();
-            // Fused block-diagonal attention: one region-strided kernel
-            // invocation per stage — Q·K^T with the padding mask, one
-            // softmax over the whole (request-major, then head-major)
-            // probability matrix, then P·V — instead of `B·heads` small
-            // GEMMs over `slice_block` copies. Bit-identical to the
-            // per-sequence path (see `packed::fused_attention_scores`).
-            let mut all_probs = fused_attention_scores(&q, &k, pack, heads, dh, scale);
-            nn::softmax_rows(&mut all_probs);
-            let probs =
-                exec.activation_packed(&format!("{pre}.attn.probs"), all_probs, &probs_layout);
-            let context = fused_attention_context(&probs, &v, pack, heads, dh, self.config.hidden);
-            let context =
-                exec.activation_packed(&format!("{pre}.attn.context"), context, &rows_layout);
-            let attn_out = self.linear_packed(
-                exec,
-                &format!("{pre}.attn.wo"),
-                &context,
-                &layer.wo,
-                &layer.bo,
-                &rows_layout,
-            );
-            let mut x1 = attn_out.add(&input);
-            nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
-
-            // --- Feed-forward ---
-            let ffn_in = exec.activation_packed(&format!("{pre}.ffn.input"), x1, &rows_layout);
-            let mut mid = self.linear_packed(
-                exec,
-                &format!("{pre}.ffn.w1"),
-                &ffn_in,
-                &layer.w1,
-                &layer.b1,
-                &rows_layout,
-            );
-            nn::gelu_inplace(&mut mid);
-            let mid = exec.activation_packed(&format!("{pre}.ffn.mid"), mid, &rows_layout);
-            let ffn_out = self.linear_packed(
-                exec,
-                &format!("{pre}.ffn.w2"),
-                &mid,
-                &layer.w2,
-                &layer.b2,
-                &rows_layout,
-            );
-            let mut x2 = ffn_out.add(&ffn_in);
-            nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
-            x = x2;
+    /// Runs the embedded pack `x` through every encoder layer. `kv`
+    /// decides what the attention reads as keys and values: the pack's
+    /// own rows for a forward pass, the cached history plus the new rows
+    /// for a decode pass ([`crate::decode`]).
+    pub(crate) fn run_layers<E: Executor + ?Sized>(
+        &self,
+        exec: &mut E,
+        pack: &PackedBatch,
+        mut x: Matrix,
+        kv: &mut impl KvSource<E>,
+    ) -> Matrix {
+        let rows = pack.rows_layout();
+        let probs = pack.probs_layout(self.config.heads);
+        for li in 0..self.layers.len() {
+            x = self.layer_step(exec, li, pack, (&rows, &probs), x, kv);
         }
         x
+    }
+
+    /// One encoder layer over a pack: the single transformer datapath that
+    /// solo, packed and decode execution all run.
+    fn layer_step<E: Executor + ?Sized>(
+        &self,
+        exec: &mut E,
+        li: usize,
+        pack: &PackedBatch,
+        (rows, probs_layout): (&PackedLayout, &PackedLayout),
+        x: Matrix,
+        kv: &mut impl KvSource<E>,
+    ) -> Matrix {
+        let (layer, n) = (&self.layers[li], &self.names[li]);
+        let heads = self.config.heads;
+        let dh = self.config.head_dim();
+        // --- Attention ---
+        let input = exec.activation_packed(&n.attn_input, x, rows);
+        let q = self.linear(exec, &n.wq, &input, &layer.wq, &layer.bq, rows);
+        let k = self.linear(exec, &n.wk, &input, &layer.wk, &layer.bk, rows);
+        let v = self.linear(exec, &n.wv, &input, &layer.wv, &layer.bv, rows);
+        let q = exec.activation_packed(&n.q, q, rows);
+        let k = exec.activation_packed(&n.k, k, rows);
+        let v = exec.activation_packed(&n.v, v, rows);
+        let (k, v) = kv.keys_values(exec, li, k, v);
+
+        let scale = 1.0 / (dh as f32).sqrt();
+        // Fused block-diagonal attention: one region-strided kernel
+        // invocation per stage — Q·K^T with the padding mask, one softmax
+        // over the whole (request-major, then head-major) probability
+        // matrix, then P·V (see `packed::fused_attention_scores`).
+        let mut scores = fused_attention_scores(&q, &k, pack, heads, dh, scale);
+        nn::softmax_rows(&mut scores);
+        let probs = exec.activation_packed(&n.probs, scores, probs_layout);
+        let context = fused_attention_context(&probs, &v, pack, heads, dh, self.config.hidden);
+        let context = exec.activation_packed(&n.context, context, rows);
+        let attn_out = self.linear(exec, &n.wo, &context, &layer.wo, &layer.bo, rows);
+        let mut x1 = attn_out.add(&input);
+        nn::layer_norm(&mut x1, &layer.ln1_gamma, &layer.ln1_beta, 1e-6);
+
+        // --- Feed-forward ---
+        let ffn_in = exec.activation_packed(&n.ffn_input, x1, rows);
+        let mut mid = self.linear(exec, &n.w1, &ffn_in, &layer.w1, &layer.b1, rows);
+        nn::gelu_inplace(&mut mid);
+        let mid = exec.activation_packed(&n.mid, mid, rows);
+        let ffn_out = self.linear(exec, &n.w2, &mid, &layer.w2, &layer.b2, rows);
+        let mut x2 = ffn_out.add(&ffn_in);
+        nn::layer_norm(&mut x2, &layer.ln2_gamma, &layer.ln2_beta, 1e-6);
+        x2
     }
 
     /// Applies the task head to every request of a packed batch.
@@ -473,7 +400,7 @@ impl Model {
                     cls.row_mut(bi).copy_from_slice(hidden.row(pack.row_of(bi)));
                 }
                 let cls = exec.activation_packed("head.cls", cls, &cls_layout);
-                let mut pooled = self.linear_packed(
+                let mut pooled = self.linear(
                     exec,
                     "head.pooler",
                     &cls,
@@ -483,7 +410,7 @@ impl Model {
                 );
                 nn::tanh_inplace(&mut pooled);
                 let pooled = exec.activation_packed("head.pooled", pooled, &cls_layout);
-                let logits = self.linear_packed(
+                let logits = self.linear(
                     exec,
                     "head.proj",
                     &pooled,
@@ -501,14 +428,8 @@ impl Model {
             Head::Span => {
                 let rows_layout = pack.rows_layout();
                 let hs = exec.activation_packed("head.span_input", hidden.clone(), &rows_layout);
-                let logits = self.linear_packed(
-                    exec,
-                    "head.proj",
-                    &hs,
-                    &self.head_w,
-                    &self.head_b,
-                    &rows_layout,
-                );
+                let logits =
+                    self.linear(exec, "head.proj", &hs, &self.head_w, &self.head_b, &rows_layout);
                 (0..nb)
                     .map(|bi| {
                         let base = pack.row_of(bi);
@@ -528,8 +449,7 @@ impl Model {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or contains an empty sequence — the
-    /// caller routes those through the solo path.
+    /// Panics if the batch is empty or contains an empty sequence.
     pub fn infer_packed(&self, exec: &mut dyn Executor, batch: &[&[usize]]) -> Vec<TaskOutput> {
         let pack = PackedBatch::new(batch);
         let hidden = self.forward_packed(exec, &pack, batch);
@@ -537,35 +457,12 @@ impl Model {
     }
 
     /// One fused GEMM + bias ([`nn::linear`]), routed through the
-    /// executor: the weight may be substituted (quantized), the input
-    /// transformed, and the output snapped to a fixed-point grid.
-    /// Crate-visible so the incremental decode step
-    /// ([`crate::decode`]) routes its projections through the exact
-    /// same hook sequence as [`Model::forward_embedded`].
-    pub(crate) fn linear(
+    /// executor: the weight may be substituted (quantized), the GEMM
+    /// served from codes, and the output snapped to a fixed-point grid —
+    /// with the layout telling the hooks which rows are padding.
+    fn linear<E: Executor + ?Sized>(
         &self,
-        exec: &mut dyn Executor,
-        weight_name: &str,
-        x: &Matrix,
-        w: &Matrix,
-        b: &[f32],
-    ) -> Matrix {
-        let out = match exec.linear(weight_name, x, w, b) {
-            Some(out) => out,
-            None => {
-                let w_eff = exec.weight_override(weight_name).unwrap_or(w);
-                nn::linear(x, w_eff, b)
-            }
-        };
-        exec.gemm_output(weight_name, out)
-    }
-
-    /// Packed-batch variant of [`Model::linear`]: same fused GEMM, with
-    /// the output snap routed through the layout-aware hook so padding
-    /// rows are skipped and work is attributed per request.
-    fn linear_packed(
-        &self,
-        exec: &mut dyn Executor,
+        exec: &mut E,
         weight_name: &str,
         x: &Matrix,
         w: &Matrix,
@@ -582,6 +479,11 @@ impl Model {
         exec.gemm_output_packed(weight_name, out, layout)
     }
 
+    /// Per-layer tensor names, built once at synthesis.
+    pub(crate) fn layer_names(&self) -> &[LayerNames] {
+        &self.names
+    }
+
     /// Names and references of every quantizable weight tensor (the
     /// paper's "parameters and embeddings").
     pub fn weight_tensors(&self) -> Vec<(String, &Matrix)> {
@@ -591,14 +493,13 @@ impl Model {
             ("head.pooler".into(), &self.pooler_w),
             ("head.proj".into(), &self.head_w),
         ];
-        for (li, layer) in self.layers.iter().enumerate() {
-            let pre = format!("L{li}");
-            out.push((format!("{pre}.attn.wq"), &layer.wq));
-            out.push((format!("{pre}.attn.wk"), &layer.wk));
-            out.push((format!("{pre}.attn.wv"), &layer.wv));
-            out.push((format!("{pre}.attn.wo"), &layer.wo));
-            out.push((format!("{pre}.ffn.w1"), &layer.w1));
-            out.push((format!("{pre}.ffn.w2"), &layer.w2));
+        for (layer, n) in self.layers.iter().zip(&self.names) {
+            out.push((n.wq.clone(), &layer.wq));
+            out.push((n.wk.clone(), &layer.wk));
+            out.push((n.wv.clone(), &layer.wv));
+            out.push((n.wo.clone(), &layer.wo));
+            out.push((n.w1.clone(), &layer.w1));
+            out.push((n.w2.clone(), &layer.w2));
         }
         out
     }
@@ -702,6 +603,13 @@ mod tests {
     #[should_panic(expected = "out of vocabulary")]
     fn oov_token_panics() {
         let (_, model) = tiny();
-        let _ = model.embed(&[10_000]);
+        let _ = model.forward(&mut FpExecutor, &[10_000]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack an empty sequence")]
+    fn empty_sequence_panics() {
+        let (_, model) = tiny();
+        let _ = model.infer(&mut FpExecutor, &[]);
     }
 }

@@ -3,8 +3,11 @@
 //! Tensor-level batching stacks `B` sequences (padded to the longest
 //! length `S`) into a single `(B·S) × hidden` matrix so every projection
 //! and FFN GEMM in an encoder layer runs **once per batch** instead of
-//! once per sequence. Three facts make the packed forward pass
-//! bit-identical to solo execution:
+//! once per sequence. Every transformer pass is a pack: a solo request is
+//! a pack of one, and a decode step is a pack of one query row whose
+//! attention reaches back over the cached key history
+//! ([`PackedBatch::after_history`]). Three facts make the packed forward
+//! pass bit-identical to running each request alone:
 //!
 //! 1. every GEMM kernel computes output row `i` from input row `i` alone
 //!    (`mokey_tensor` pins this), and every non-GEMM operator
@@ -26,11 +29,17 @@
 use mokey_tensor::{dot_wide, Matrix};
 
 /// Shape bookkeeping for one packed batch: per-request true lengths plus
-/// the common padded length.
+/// the common padded length, and the key positions each request's
+/// queries attend over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBatch {
     lens: Vec<usize>,
     seq: usize,
+    /// Key positions per request: cached history followed by the
+    /// request's own rows (equal to `lens` unless built by
+    /// [`PackedBatch::after_history`]).
+    keys: Vec<usize>,
+    key_seq: usize,
 }
 
 impl PackedBatch {
@@ -38,14 +47,35 @@ impl PackedBatch {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or contains an empty sequence —
-    /// callers route degenerate requests through the solo path.
+    /// Panics if the batch is empty or contains an empty sequence.
     pub fn new<T: AsRef<[usize]>>(batch: &[T]) -> Self {
-        assert!(!batch.is_empty(), "cannot pack an empty batch");
-        let lens: Vec<usize> = batch.iter().map(|t| t.as_ref().len()).collect();
+        Self::from_lens(batch.iter().map(|t| t.as_ref().len()).collect())
+    }
+
+    /// [`PackedBatch::new`] from the request lengths alone.
+    pub(crate) fn from_lens(lens: Vec<usize>) -> Self {
+        assert!(!lens.is_empty(), "cannot pack an empty batch");
         assert!(lens.iter().all(|&l| l > 0), "cannot pack an empty sequence");
         let seq = lens.iter().copied().max().unwrap_or(0);
-        Self { lens, seq }
+        Self { keys: lens.clone(), key_seq: seq, lens, seq }
+    }
+
+    /// A pack of one sequence whose `len` rows sit at positions
+    /// `history..history + len`, behind `history` cached positions: its
+    /// queries attend over the cached keys plus its own. A prefill is
+    /// `after_history(0, prompt_len)`; a decode step is
+    /// `after_history(cached, 1)`, one query row against the whole key
+    /// history. Key and value matrices for such a pack hold
+    /// `history + len` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
+    pub fn after_history(history: usize, len: usize) -> Self {
+        let mut pack = Self::from_lens(vec![len]);
+        pack.keys = vec![history + len];
+        pack.key_seq = history + len;
+        pack
     }
 
     /// Number of requests in the pack.
@@ -66,6 +96,24 @@ impl PackedBatch {
     /// Row offset of request `i` inside a packed `(B·S) × _` matrix.
     pub fn row_of(&self, i: usize) -> usize {
         i * self.seq
+    }
+
+    /// Sequence position of request `i`'s first row (its cached history
+    /// length; zero for an ordinary pack).
+    pub fn first_position(&self, i: usize) -> usize {
+        self.keys[i] - self.lens[i]
+    }
+
+    /// Key positions request `i` attends over (cached history plus its
+    /// own rows).
+    pub fn keys_of(&self, i: usize) -> usize {
+        self.keys[i]
+    }
+
+    /// The padded per-request key length: the row stride of a packed
+    /// key or value matrix.
+    pub fn key_seq(&self) -> usize {
+        self.key_seq
     }
 
     /// Total rows of a packed activation matrix (`B · S`).
@@ -103,19 +151,18 @@ impl PackedBatch {
     }
 
     /// Layout of the packed attention-probability matrix
-    /// (`(B·heads·S) × S`, request-major then head-major): request `i`
-    /// owns `heads` blocks of its true length, and only its first
-    /// `len` columns are real probabilities (the rest are masked zeros,
-    /// which must stay exactly `0.0`).
+    /// (`(B·heads·S) × key_seq`, request-major then head-major): request
+    /// `i` owns `heads` blocks of its true length, and only its first
+    /// [`keys_of`](Self::keys_of) columns are real probabilities (the
+    /// rest are masked zeros, which must stay exactly `0.0`).
     pub fn probs_layout(&self, heads: usize) -> PackedLayout {
         PackedLayout {
-            regions: self
-                .lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| Region {
-                    row_blocks: (0..heads).map(|hd| ((i * heads + hd) * self.seq, len)).collect(),
-                    cols: Some(len),
+            regions: (0..self.lens.len())
+                .map(|i| Region {
+                    row_blocks: (0..heads)
+                        .map(|hd| ((i * heads + hd) * self.seq, self.lens[i]))
+                        .collect(),
+                    cols: Some(self.keys[i]),
                 })
                 .collect(),
         }
@@ -140,6 +187,14 @@ pub struct PackedLayout {
     pub regions: Vec<Region>,
 }
 
+impl PackedLayout {
+    /// A `rows`-row matrix owned whole by one request — how an un-packed
+    /// hook call maps onto the layout-aware hooks.
+    pub(crate) fn whole(rows: usize) -> Self {
+        Self { regions: vec![Region { row_blocks: vec![(0, rows)], cols: None }] }
+    }
+}
+
 /// The part of a packed matrix owned by one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
@@ -151,17 +206,20 @@ pub struct Region {
 
 /// Fused block-diagonal `Q·K^T` over a packed batch: one region-strided
 /// pass producing the scaled, padding-masked score matrix
-/// (`(B·heads·S) × S`, request-major then head-major) directly from the
-/// packed `(B·S) × hidden` query/key buffers.
+/// (`(B·heads·S) × key_seq`, request-major then head-major) directly from
+/// the packed `(B·S) × hidden` queries and the `(B·key_seq) × hidden`
+/// keys (the same matrix as the queries' unless the pack was built by
+/// [`PackedBatch::after_history`]).
 ///
 /// Each element is `dot_wide(q_slice, k_slice) * scale` on the exact head
 /// slices a per-sequence `slice_block` + `matmul_transposed` + `scale`
 /// would feed it — [`dot_wide`] is a pure function of its operand slices,
 /// so the fused pass is bit-identical to the per-sequence path while
-/// skipping every intermediate copy. Padded key columns (`c ≥ len`) are
-/// written as `−∞` so the caller's softmax turns them into exact `0.0`;
-/// padded *query* rows are still computed (deterministic garbage nothing
-/// reads back), matching the per-sequence path.
+/// skipping every intermediate copy. Padded key columns
+/// (`c ≥ keys_of(i)`) are written as `−∞` so the caller's softmax turns
+/// them into exact `0.0`; padded *query* rows are still computed
+/// (deterministic garbage nothing reads back), matching the per-sequence
+/// path.
 pub fn fused_attention_scores(
     q: &Matrix,
     k: &Matrix,
@@ -170,22 +228,22 @@ pub fn fused_attention_scores(
     dh: usize,
     scale: f32,
 ) -> Matrix {
-    let s = pack.seq();
+    let (s, ks) = (pack.seq(), pack.key_seq());
     let nb = pack.requests();
-    let mut scores = Matrix::zeros(nb * heads * s, s);
+    let mut scores = Matrix::zeros(nb * heads * s, ks);
     for bi in 0..nb {
-        let len = pack.len_of(bi);
-        let base = pack.row_of(bi);
+        let keys = pack.keys_of(bi);
+        let (q_base, k_base) = (pack.row_of(bi), bi * ks);
         for hd in 0..heads {
             let c0 = hd * dh;
             let probs_base = (bi * heads + hd) * s;
             for r in 0..s {
-                let q_slice = &q.row(base + r)[c0..c0 + dh];
+                let q_slice = &q.row(q_base + r)[c0..c0 + dh];
                 let out_row = scores.row_mut(probs_base + r);
-                for (c, o) in out_row[..len].iter_mut().enumerate() {
-                    *o = dot_wide(q_slice, &k.row(base + c)[c0..c0 + dh]) * scale;
+                for (c, o) in out_row[..keys].iter_mut().enumerate() {
+                    *o = dot_wide(q_slice, &k.row(k_base + c)[c0..c0 + dh]) * scale;
                 }
-                for o in &mut out_row[len..] {
+                for o in &mut out_row[keys..] {
                     *o = f32::NEG_INFINITY;
                 }
             }
@@ -197,7 +255,8 @@ pub fn fused_attention_scores(
 /// Fused block-diagonal `P·V` over a packed batch: one region-strided
 /// pass accumulating every head's context slice straight into the packed
 /// `(B·S) × hidden` output, from the post-softmax probability matrix laid
-/// out by [`PackedBatch::probs_layout`].
+/// out by [`PackedBatch::probs_layout`] and the `(B·key_seq) × hidden`
+/// values.
 ///
 /// Per output element the accumulation is ascending over the key
 /// positions with exactly one addition per non-zero probability — the
@@ -213,22 +272,21 @@ pub fn fused_attention_context(
     dh: usize,
     hidden: usize,
 ) -> Matrix {
-    let s = pack.seq();
+    let (s, ks) = (pack.seq(), pack.key_seq());
     let nb = pack.requests();
     let mut context = Matrix::zeros(nb * s, hidden);
     for bi in 0..nb {
-        let base = pack.row_of(bi);
+        let (q_base, v_base) = (pack.row_of(bi), bi * ks);
         for hd in 0..heads {
             let c0 = hd * dh;
             let probs_base = (bi * heads + hd) * s;
             for r in 0..s {
-                let out = &mut context.row_mut(base + r)[c0..c0 + dh];
-                for kk in 0..s {
-                    let pv = probs[(probs_base + r, kk)];
+                let out = &mut context.row_mut(q_base + r)[c0..c0 + dh];
+                for (kk, &pv) in probs.row(probs_base + r).iter().enumerate() {
                     if pv == 0.0 {
                         continue;
                     }
-                    let v_slice = &v.row(base + kk)[c0..c0 + dh];
+                    let v_slice = &v.row(v_base + kk)[c0..c0 + dh];
                     for (o, &vv) in out.iter_mut().zip(v_slice) {
                         *o += pv * vv;
                     }
@@ -275,6 +333,20 @@ mod tests {
         assert_eq!(layout.regions[1].row_blocks, vec![(8, 2), (12, 2)]);
         assert_eq!(layout.regions[1].cols, Some(2));
         assert_eq!(layout.regions[0].cols, Some(4));
+    }
+
+    #[test]
+    fn history_pack_attends_past_its_own_rows() {
+        // A decode step at position 6: one query row, seven keys.
+        let pack = PackedBatch::after_history(6, 1);
+        assert_eq!((pack.requests(), pack.seq(), pack.total_rows()), (1, 1, 1));
+        assert_eq!((pack.first_position(0), pack.keys_of(0), pack.key_seq()), (6, 7, 7));
+        let layout = pack.probs_layout(2);
+        assert_eq!(layout.regions[0].row_blocks, vec![(0, 1), (1, 1)]);
+        assert_eq!(layout.regions[0].cols, Some(7));
+        // An ordinary pack attends over exactly its own rows.
+        let pack = PackedBatch::new(&[vec![0usize; 3], vec![0; 2]]);
+        assert_eq!((pack.first_position(1), pack.keys_of(1), pack.key_seq()), (0, 2, 3));
     }
 
     #[test]

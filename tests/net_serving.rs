@@ -13,7 +13,7 @@ use mokey_transformer::{ModelConfig, QuantizeSpec, TaskOutput};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn model_config() -> ModelConfig {
     ModelConfig {
@@ -344,6 +344,27 @@ fn truncated_frame_then_disconnect_neither_leaks_nor_deadlocks_drain() {
     // pinning a count.)
     assert_eq!(report.aggregate.submitted, report.aggregate.completed);
     assert!(report.aggregate.completed >= 2);
+}
+
+#[test]
+fn closed_connections_release_their_sockets() {
+    // A long-running server must not hold a socket for every connection
+    // it ever accepted. Connections run one at a time: each is opened,
+    // closed, and waited out before the next.
+    let registry = registry();
+    serve_net(&registry, serve_config(), NetConfig::default(), |net| {
+        for i in 1..=500u64 {
+            drop(TcpStream::connect(net.addr()).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while net.accepted() < i || net.open_connections() > 0 {
+                assert!(Instant::now() < deadline, "connection {i} was never released");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(net.accepted(), 500);
+        assert_eq!(net.open_connections(), 0);
+    })
+    .unwrap();
 }
 
 #[test]

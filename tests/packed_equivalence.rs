@@ -124,75 +124,79 @@ proptest! {
     /// the per-sequence formulation they replaced — `slice_block` copies,
     /// `matmul_transposed` + scale + mask + softmax, then `matmul`
     /// against the value slice — for arbitrary ragged packs and head
-    /// geometry, directly at the kernel level.
+    /// geometry, and for a decode step's shape (one query row against a
+    /// longer key history), directly at the kernel level.
     #[test]
     fn fused_attention_kernels_match_per_sequence_reference(
         lens in prop::collection::vec(1usize..=8, 1..=4),
+        history in 0usize..=8,
         heads in 1usize..=2,
         dh in 1usize..=6,
         seed in 0u64..1000,
     ) {
         let batch: Vec<Vec<usize>> = lens.iter().map(|&l| vec![0; l]).collect();
-        let pack = PackedBatch::new(&batch);
-        let s = pack.seq();
-        let nb = pack.requests();
-        let hidden = heads * dh;
-        let mk = |salt: u64| {
-            mokey_tensor::init::GaussianMixture::pure(0.0, 1.0)
-                .sample_matrix(nb * s, hidden, seed.wrapping_mul(3) + salt)
-        };
-        let (q, k, v) = (mk(1), mk(2), mk(3));
-        let scale = 1.0 / (dh as f32).sqrt();
+        for pack in [PackedBatch::new(&batch), PackedBatch::after_history(history, 1)] {
+            let (s, ks) = (pack.seq(), pack.key_seq());
+            let nb = pack.requests();
+            let hidden = heads * dh;
+            let mk = |rows: usize, salt: u64| {
+                mokey_tensor::init::GaussianMixture::pure(0.0, 1.0)
+                    .sample_matrix(rows, hidden, seed.wrapping_mul(3) + salt)
+            };
+            let (q, k, v) = (mk(nb * s, 1), mk(nb * ks, 2), mk(nb * ks, 3));
+            let scale = 1.0 / (dh as f32).sqrt();
 
-        let mut fused_probs = fused_attention_scores(&q, &k, &pack, heads, dh, scale);
-        nn::softmax_rows(&mut fused_probs);
-        let fused_ctx = fused_attention_context(&fused_probs, &v, &pack, heads, dh, hidden);
+            let mut fused_probs = fused_attention_scores(&q, &k, &pack, heads, dh, scale);
+            nn::softmax_rows(&mut fused_probs);
+            let fused_ctx = fused_attention_context(&fused_probs, &v, &pack, heads, dh, hidden);
 
-        let mut ref_probs = Matrix::zeros(nb * heads * s, s);
-        let mut ref_ctx = Matrix::zeros(nb * s, hidden);
-        for bi in 0..nb {
-            let len = pack.len_of(bi);
-            let base = pack.row_of(bi);
-            for hd in 0..heads {
-                let qh = q.slice_block(base, s, hd * dh, dh);
-                let kh = k.slice_block(base, s, hd * dh, dh);
-                let mut scores = qh.matmul_transposed(&kh).scale(scale);
-                for r in 0..s {
-                    for sc in &mut scores.row_mut(r)[len..] {
-                        *sc = f32::NEG_INFINITY;
+            let mut ref_probs = Matrix::zeros(nb * heads * s, ks);
+            let mut ref_ctx = Matrix::zeros(nb * s, hidden);
+            for bi in 0..nb {
+                let keys = pack.keys_of(bi);
+                let base = pack.row_of(bi);
+                for hd in 0..heads {
+                    let qh = q.slice_block(base, s, hd * dh, dh);
+                    let kh = k.slice_block(bi * ks, ks, hd * dh, dh);
+                    let mut scores = qh.matmul_transposed(&kh).scale(scale);
+                    for r in 0..s {
+                        for sc in &mut scores.row_mut(r)[keys..] {
+                            *sc = f32::NEG_INFINITY;
+                        }
+                    }
+                    nn::softmax_rows(&mut scores);
+                    let probs_base = (bi * heads + hd) * s;
+                    for r in 0..s {
+                        ref_probs.row_mut(probs_base + r).copy_from_slice(scores.row(r));
+                    }
+                    let vh = v.slice_block(bi * ks, ks, hd * dh, dh);
+                    let ctx_h = scores.matmul(&vh);
+                    for r in 0..s {
+                        ref_ctx.row_mut(base + r)[hd * dh..(hd + 1) * dh]
+                            .copy_from_slice(ctx_h.row(r));
                     }
                 }
-                nn::softmax_rows(&mut scores);
-                let probs_base = (bi * heads + hd) * s;
-                for r in 0..s {
-                    ref_probs.row_mut(probs_base + r).copy_from_slice(scores.row(r));
-                }
-                let vh = v.slice_block(base, s, hd * dh, dh);
-                let ctx_h = scores.matmul(&vh);
-                for r in 0..s {
-                    ref_ctx.row_mut(base + r)[hd * dh..(hd + 1) * dh]
-                        .copy_from_slice(ctx_h.row(r));
+            }
+            for r in 0..nb * heads * s {
+                for (x, y) in fused_probs.row(r).iter().zip(ref_probs.row(r)) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "probs row {} diverged", r);
                 }
             }
-        }
-        for r in 0..nb * heads * s {
-            for (x, y) in fused_probs.row(r).iter().zip(ref_probs.row(r)) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "probs row {} diverged", r);
-            }
-        }
-        for r in 0..nb * s {
-            for (x, y) in fused_ctx.row(r).iter().zip(ref_ctx.row(r)) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "context row {} diverged", r);
+            for r in 0..nb * s {
+                for (x, y) in fused_ctx.row(r).iter().zip(ref_ctx.row(r)) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "context row {} diverged", r);
+                }
             }
         }
     }
 }
 
-/// The decode path prefills its prompt through the **solo** forward (with
-/// KV-code capture); the same prompt served inside a ragged packed batch
-/// goes through the fused block-diagonal attention instead. The two must
-/// produce bit-identical hidden rows — in index-domain mode, with capture
-/// active, exactly as `DecodeSession::prefill` runs it.
+/// The decode path prefills its prompt as a pack of one through the same
+/// layer step as every forward pass, with K/V-code capture active; the
+/// same prompt served inside a ragged packed batch shares its pack with
+/// other requests and carries padding. The two must produce bit-identical
+/// hidden rows — in index-domain mode, with capture active, as
+/// `DecodeSession::prefill` runs it.
 #[test]
 fn decode_prefill_rows_match_fused_packed_forward() {
     let p = prepared();
@@ -209,7 +213,7 @@ fn decode_prefill_rows_match_fused_packed_forward() {
     let packed_hidden = p.model().forward_packed(&mut packed_exec, &pack, &refs);
 
     for (bi, tokens) in batch.iter().enumerate() {
-        // Mirror DecodeSession::prefill: solo forward, index mode, K/V
+        // Mirror DecodeSession::prefill: a pack of one, index mode, K/V
         // codes captured (capture must not perturb the arithmetic).
         let mut solo = QuantizedExecutor::with_mode(p.context(), ExecMode::IndexDomain);
         solo.capture((0..layers).flat_map(|li| [format!("L{li}.attn.k"), format!("L{li}.attn.v")]));
